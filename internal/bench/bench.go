@@ -49,12 +49,13 @@ type RunConfig struct {
 	// PlotDir, when set, receives SVG latency/throughput charts of the
 	// Fig. 10/11/12 panels (the figures themselves).
 	PlotDir string
-	// JSONDir, when set, receives machine-readable artifacts (the
-	// failover sweep's BENCH_failover.json).
+	// JSONDir, when set, receives the machine-readable artifacts of the
+	// failover, fleet and serving sweeps (BENCH_*.json).
 	JSONDir string
-	// TraceDir, when set, makes the failover experiment re-run one fully
-	// traced failure point per runtime and write a Chrome trace plus a
-	// metrics snapshot for each (see docs/OBSERVABILITY.md).
+	// TraceDir, when set, makes the failover and serving experiments
+	// re-run one fully traced point per runtime and write a Chrome trace,
+	// a metrics snapshot and an analysis for each (see
+	// docs/OBSERVABILITY.md).
 	TraceDir string
 	// Shards requests lookahead-sharded execution inside each simulation
 	// point (core.Options.Shards). Single-node specs collapse to one
@@ -129,14 +130,20 @@ const meanSeq = 72
 // throughput analytically (batches/s) — used to center the arrival-rate
 // sweep of each panel on its interesting region.
 func intraCapacity(p panel) float64 {
-	comp := parallel.NewCompiler(p.node, nccl.Config{})
 	w := model.Workload{Batch: p.batch, Phase: p.phase}
 	if p.phase == model.Decode {
 		w.CtxLen = p.ctxLen
 	} else {
 		w.SeqLen = meanSeq
 	}
-	ks, err := comp.IntraOp(p.spec, p.node.NumGPUs, w)
+	return workloadCapacity(p.node, p.spec, w)
+}
+
+// workloadCapacity is the analytic rate (workloads/s) at which w
+// saturates the intra-operator runtime on node.
+func workloadCapacity(node hw.Node, spec model.Spec, w model.Workload) float64 {
+	comp := parallel.NewCompiler(node, nccl.Config{})
+	ks, err := comp.IntraOp(spec, node.NumGPUs, w)
 	if err != nil {
 		return 1
 	}

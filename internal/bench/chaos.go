@@ -64,13 +64,8 @@ func newChaosSetup(cfg RunConfig) chaosSetup {
 // policy. The Liger runtime serves with degradation-aware re-planning
 // enabled — the subsystem under test.
 func runChaosPoint(s chaosSetup, sc faults.Scenario, kind core.RuntimeKind, cfg RunConfig) (serve.Result, error) {
-	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: kind, Shards: cfg.Shards}
-	if kind == core.KindLiger {
-		lc := liger.DefaultConfig(s.p.node.Name)
-		lc.DegradationAware = true
-		opts.Liger = lc
-		opts.LigerSet = true
-	}
+	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: kind, Shards: cfg.Shards,
+		Liger: liger.DegradationAwareConfig(s.p.node.Name), LigerSet: true}
 	sched := sc.Build(s.profile)
 	if !sched.Empty() {
 		opts.Faults = &sched

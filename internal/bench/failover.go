@@ -1,21 +1,21 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
+	"liger/internal/analyze"
 	"liger/internal/core"
 	"liger/internal/faults"
 	"liger/internal/gpusim"
 	"liger/internal/hw"
+	"liger/internal/metrics"
 	"liger/internal/model"
 	"liger/internal/runner"
 	"liger/internal/serve"
+	"liger/internal/trace"
 )
 
 // FailoverJSONName is the machine-readable artifact of the failover
@@ -146,16 +146,7 @@ type failoverReport struct {
 	Batches  int           `json:"batches"`
 	Seed     int64         `json:"seed"`
 	Rows     []failoverRow `json:"rows"`
-	Headline struct {
-		// Mean goodput retained across every failure point, per runtime.
-		GoodputRetained map[string]float64 `json:"goodput_retained"`
-		// Mean time-to-recover across every failure point, per runtime.
-		RecoveryMs map[string]float64 `json:"recovery_ms"`
-		// LigerVsIntraRetained is Liger's mean retained goodput minus
-		// Intra-Op's: positive means interleaving keeps more service alive
-		// through the same failure.
-		LigerVsIntraRetained float64 `json:"liger_vs_intra_retained"`
-	} `json:"headline"`
+	Headline retention     `json:"headline"`
 }
 
 // RunFailover is the elastic-failover experiment: permanently fail each
@@ -180,11 +171,7 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 		baseline[kind] = results[i].PolicyGoodput()
 	}
 	rep := failoverReport{Batches: cfg.Batches, Seed: cfg.Seed}
-	rep.Headline.GoodputRetained = make(map[string]float64)
-	rep.Headline.RecoveryMs = make(map[string]float64)
-	sumRetained := make(map[core.RuntimeKind]float64)
-	sumRecovery := make(map[core.RuntimeKind]float64)
-	failPoints := 0
+	var losses []lossOutcome
 	for i, pt := range pts {
 		res := results[i]
 		row := failoverRow{
@@ -204,23 +191,11 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 			row.GoodputRetained = row.Goodput / base
 		}
 		if pt.dev >= 0 {
-			sumRetained[pt.kind] += row.GoodputRetained
-			sumRecovery[pt.kind] += row.RecoveryMs
-			if pt.kind == s.kinds[0] {
-				failPoints++
-			}
+			losses = append(losses, lossOutcome{kind: pt.kind, retained: row.GoodputRetained, recoveryMs: row.RecoveryMs})
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	if failPoints > 0 {
-		for _, kind := range s.kinds {
-			name := kindName(kind, results, pts)
-			rep.Headline.GoodputRetained[name] = sumRetained[kind] / float64(failPoints)
-			rep.Headline.RecoveryMs[name] = sumRecovery[kind] / float64(failPoints)
-		}
-		rep.Headline.LigerVsIntraRetained =
-			(sumRetained[core.KindLiger] - sumRetained[core.KindIntraOp]) / float64(failPoints)
-	}
+	rep.Headline = newRetention(s.kinds, losses)
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "fail\truntime\tgoodput\tretained\trecovery\tshed\tdeferred\tretries\tfailed")
@@ -237,45 +212,45 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 	fmt.Fprintf(tw, "\npolicy: deadline %s, %d retries, backoff %s (cap %s), queue limit %d; watchdog %s; seed %d\n",
 		fmtDur(s.pol.Deadline), s.pol.MaxRetries, fmtDur(s.pol.Backoff), fmtDur(s.pol.BackoffCap),
 		s.pol.QueueLimit, fmtDur(s.timeout), cfg.Seed)
-	if failPoints > 0 {
-		fmt.Fprintf(tw, "headline: mean goodput retained across failures — Liger %.0f%%, Intra-Op %.0f%%, Inter-Op %.0f%% (Liger−Intra %+.0fpp)\n",
-			100*rep.Headline.GoodputRetained["Liger"], 100*rep.Headline.GoodputRetained["Intra-Op"],
-			100*rep.Headline.GoodputRetained["Inter-Op"], 100*rep.Headline.LigerVsIntraRetained)
-	}
+	rep.Headline.fprint(tw, "failures", 0)
 	fmt.Fprintln(tw, "extension: a permanent DeviceFail quiesces the epoch, rebuilds the communicator, re-shards weights onto the survivors, and resumes; arrivals during recovery are deferred or shed by the bounded admission queue")
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if err := writeFailoverJSON(cfg, rep); err != nil {
+	if err := writeJSON(cfg.JSONDir, FailoverJSONName, rep); err != nil {
 		return err
 	}
 	return writeFailoverObservability(s, cfg, w)
 }
 
-// kindName resolves a RuntimeKind to the name its results report.
-func kindName(kind core.RuntimeKind, results []serve.Result, pts []failoverPoint) string {
-	for i, pt := range pts {
-		if pt.kind == kind {
-			return results[i].Runtime
-		}
-	}
-	return fmt.Sprintf("kind(%d)", int(kind))
-}
-
-// writeFailoverJSON writes the machine-readable artifact when
-// RunConfig.JSONDir is set. encoding/json sorts map keys, so the bytes
-// are a pure function of the report value.
-func writeFailoverJSON(cfg RunConfig, rep failoverReport) error {
-	if cfg.JSONDir == "" {
+// writeFailoverObservability re-runs one fully traced failure point per
+// runtime — device 0 failing at the sweep's first instant — and writes,
+// into cfg.TraceDir, a Chrome trace (failover_<runtime>.trace.json), a
+// metrics snapshot (failover_<runtime>.metrics.json) and a trace
+// analysis (failover_<runtime>.analysis.json: critical path, idle-gap
+// attribution, overlap efficiency) for each. The traced points fan
+// across the sweep executor; the files are byte-identical at any
+// -parallel value.
+func writeFailoverObservability(s failoverSetup, cfg RunConfig, w io.Writer) error {
+	if cfg.TraceDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
+	pt := failoverPoint{dev: 0, atFrac: s.instants[0]}
+	runs, err := runner.Map(cfg.Parallel, len(s.kinds), func(i int) (tracedRun, error) {
+		p := pt
+		p.kind = s.kinds[i]
+		rec := trace.NewRecorder()
+		res, err := runFailoverPoint(s, p, cfg, rec)
+		if err != nil {
+			return tracedRun{}, err
+		}
+		files, err := render(rec.WriteChromeTrace, metrics.FromRun(res, rec).WriteJSON,
+			analyze.Analyze(rec, analyze.Options{}).WriteJSON)
+		return tracedRun{runtime: res.Runtime, files: files}, err
+	})
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, FailoverJSONName), buf, 0o644)
+	return writeTraced(w, cfg.TraceDir, "failover", fmt.Sprintf("dev0@%.0f%%", 100*pt.atFrac),
+		[]string{"trace", "metrics", "analysis"}, runs, false)
 }

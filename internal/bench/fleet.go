@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
@@ -125,15 +122,11 @@ func runFleetPoint(s fleetSetup, pt fleetPoint, cfg RunConfig) (serve.Result, er
 			Spares:  1,
 			Network: s.network,
 		},
-		Model:   s.p.spec,
-		Runtime: pt.kind,
-		Workers: cfg.Shards,
-	}
-	if pt.kind == core.KindLiger {
-		lc := liger.DefaultConfig(s.p.nodeKey)
-		lc.DegradationAware = true
-		ccfg.Liger = lc
-		ccfg.LigerSet = true
+		Model:    s.p.spec,
+		Runtime:  pt.kind,
+		Workers:  cfg.Shards,
+		Liger:    liger.DegradationAwareConfig(s.p.nodeKey),
+		LigerSet: true,
 	}
 	if pt.atFrac >= 0 {
 		ccfg.Faults = &faults.Schedule{Events: []faults.Event{{
@@ -178,16 +171,7 @@ type fleetReport struct {
 	Batches  int        `json:"batches"`
 	Seed     int64      `json:"seed"`
 	Rows     []fleetRow `json:"rows"`
-	Headline struct {
-		// Mean goodput retained across every node-loss point, per runtime.
-		GoodputRetained map[string]float64 `json:"goodput_retained"`
-		// Mean time-to-recover across every node-loss point, per runtime.
-		RecoveryMs map[string]float64 `json:"recovery_ms"`
-		// LigerVsIntraRetained is Liger's mean retained goodput minus
-		// Intra-Op's: positive means interleaving keeps more of the fleet's
-		// service alive through the same node loss.
-		LigerVsIntraRetained float64 `json:"liger_vs_intra_retained"`
-	} `json:"headline"`
+	Headline retention  `json:"headline"`
 }
 
 // buildFleetReport runs the sweep and aggregates it; shared by the
@@ -209,11 +193,7 @@ func buildFleetReport(s fleetSetup, cfg RunConfig) (fleetReport, []fleetPoint, [
 		}
 	}
 	rep := fleetReport{Batches: cfg.Batches, Seed: cfg.Seed}
-	rep.Headline.GoodputRetained = make(map[string]float64)
-	rep.Headline.RecoveryMs = make(map[string]float64)
-	sumRetained := make(map[core.RuntimeKind]float64)
-	sumRecovery := make(map[core.RuntimeKind]float64)
-	lossPoints := 0
+	var losses []lossOutcome
 	for i, pt := range pts {
 		res := results[i]
 		row := fleetRow{
@@ -232,23 +212,11 @@ func buildFleetReport(s fleetSetup, cfg RunConfig) (fleetReport, []fleetPoint, [
 			row.GoodputRetained = row.Goodput / base
 		}
 		if pt.atFrac >= 0 {
-			sumRetained[pt.kind] += row.GoodputRetained
-			sumRecovery[pt.kind] += row.RecoveryMs
-			if pt.kind == s.kinds[0] {
-				lossPoints++
-			}
+			losses = append(losses, lossOutcome{kind: pt.kind, retained: row.GoodputRetained, recoveryMs: row.RecoveryMs})
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	if lossPoints > 0 {
-		for _, kind := range s.kinds {
-			name := kind.String()
-			rep.Headline.GoodputRetained[name] = sumRetained[kind] / float64(lossPoints)
-			rep.Headline.RecoveryMs[name] = sumRecovery[kind] / float64(lossPoints)
-		}
-		rep.Headline.LigerVsIntraRetained =
-			(sumRetained[core.KindLiger] - sumRetained[core.KindIntraOp]) / float64(lossPoints)
-	}
+	rep.Headline = newRetention(s.kinds, losses)
 	return rep, pts, results, nil
 }
 
@@ -281,32 +249,10 @@ func RunFleet(cfg RunConfig, w io.Writer) error {
 	fmt.Fprintf(tw, "\nfabric: %s, %.0f GB/s effective, %s one-way; policy: deadline %s, %d retries, queue limit %d; seed %d\n",
 		s.network.Name, s.network.EffectiveBWGBs(), s.network.Latency,
 		fmtDur(pol.Deadline), pol.MaxRetries, pol.QueueLimit, cfg.Seed)
-	if len(rep.Headline.GoodputRetained) > 0 {
-		fmt.Fprintf(tw, "headline: mean goodput retained across node losses — Liger %.0f%%, Intra-Op %.0f%%, Inter-Op %.0f%% (Liger−Intra %+.1fpp)\n",
-			100*rep.Headline.GoodputRetained["Liger"], 100*rep.Headline.GoodputRetained["Intra-Op"],
-			100*rep.Headline.GoodputRetained["Inter-Op"], 100*rep.Headline.LigerVsIntraRetained)
-	}
+	rep.Headline.fprint(tw, "node losses", 1)
 	fmt.Fprintln(tw, "extension: a NodeFail drops the node's shard mid-epoch; the router evicts it, re-dispatches its in-flight batches to the survivors, and re-places the replica onto the spare after the weight transfer + communicator rebuild")
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	return writeFleetJSON(cfg, rep)
-}
-
-// writeFleetJSON writes the machine-readable artifact when
-// RunConfig.JSONDir is set. encoding/json sorts map keys, so the bytes
-// are a pure function of the report value.
-func writeFleetJSON(cfg RunConfig, rep fleetReport) error {
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, FleetJSONName), buf, 0o644)
+	return writeJSON(cfg.JSONDir, FleetJSONName, rep)
 }

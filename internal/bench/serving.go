@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
@@ -15,8 +12,6 @@ import (
 	"liger/internal/kvcache"
 	"liger/internal/liger"
 	"liger/internal/model"
-	"liger/internal/nccl"
-	"liger/internal/parallel"
 	"liger/internal/runner"
 	"liger/internal/stats"
 	"liger/internal/trace"
@@ -68,25 +63,8 @@ func newServingSetup(cfg RunConfig) servingSetup {
 		pools:     pools,
 		fractions: fractions,
 		kinds:     []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp},
-		capacity:  prefillCapacity(node, spec, prompt),
+		capacity:  workloadCapacity(node, spec, model.Workload{Batch: 1, SeqLen: prompt, Phase: model.Context}),
 	}
-}
-
-// prefillCapacity is intraCapacity specialized to one prompt's context
-// phase: the analytic rate at which single-sequence prefills saturate
-// the intra-op runtime.
-func prefillCapacity(node hw.Node, spec model.Spec, prompt int) float64 {
-	comp := parallel.NewCompiler(node, nccl.Config{})
-	ks, err := comp.IntraOp(spec, node.NumGPUs, model.Workload{Batch: 1, SeqLen: prompt, Phase: model.Context})
-	if err != nil {
-		return 1
-	}
-	c, m := parallel.TotalDurations(ks)
-	total := c + m
-	if total <= 0 {
-		return 1
-	}
-	return float64(time.Second) / float64(total)
 }
 
 // servingPoint identifies one simulation of the sweep: Kind serving
@@ -115,14 +93,8 @@ func (s servingSetup) points() []servingPoint {
 // iterations, sequence lifecycles and KV block events (tracing never
 // changes results).
 func runServingPoint(s servingSetup, pt servingPoint, cfg RunConfig, rec *trace.ServingRecorder) (generate.ContinuousResult, error) {
-	opts := core.Options{Node: s.node, Model: s.spec, Runtime: pt.kind, Shards: cfg.Shards}
-	if pt.kind == core.KindLiger {
-		lc := liger.DefaultConfig(s.nodeKey)
-		lc.DegradationAware = true
-		opts.Liger = lc
-		opts.LigerSet = true
-	}
-	eng, err := core.NewEngine(opts)
+	eng, err := core.NewEngine(core.Options{Node: s.node, Model: s.spec, Runtime: pt.kind, Shards: cfg.Shards,
+		Liger: liger.DegradationAwareConfig(s.nodeKey), LigerSet: true})
 	if err != nil {
 		return generate.ContinuousResult{}, err
 	}
@@ -267,26 +239,8 @@ func RunServing(cfg RunConfig, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if err := writeServingJSON(cfg, rep); err != nil {
+	if err := writeJSON(cfg.JSONDir, ServingJSONName, rep); err != nil {
 		return err
 	}
 	return writeServingObservability(s, cfg, w)
-}
-
-// writeServingJSON writes the machine-readable artifact when
-// RunConfig.JSONDir is set. encoding/json sorts map keys, so the bytes
-// are a pure function of the report value.
-func writeServingJSON(cfg RunConfig, rep servingReport) error {
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, ServingJSONName), buf, 0o644)
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"liger/internal/analyze"
@@ -69,30 +65,20 @@ func writeServingObservability(s servingSetup, cfg RunConfig, w io.Writer) error
 		return nil
 	}
 	pt := servingPoint{frac: s.fractions[len(s.fractions)-1], pool: s.pools[0]}
-	type artifact struct {
-		runtime                 string
-		trace, metrics, serving []byte
-		row                     servingAnalysisRow
-	}
-	arts, err := runner.Map(cfg.Parallel, len(s.kinds), func(i int) (artifact, error) {
+	rows := make([]servingAnalysisRow, len(s.kinds))
+	runs, err := runner.Map(cfg.Parallel, len(s.kinds), func(i int) (tracedRun, error) {
 		p := pt
 		p.kind = s.kinds[i]
 		rec := trace.NewServingRecorder()
 		res, err := runServingPoint(s, p, cfg, rec)
 		if err != nil {
-			return artifact{}, err
+			return tracedRun{}, err
 		}
 		rep := analyze.AnalyzeServing(rec)
 		snap := metrics.FromServing(p.kind.String(), rec, metrics.Options{})
-		var tb, mb, sb bytes.Buffer
-		if err := rec.WriteChromeTrace(&tb); err != nil {
-			return artifact{}, err
-		}
-		if err := snap.WriteJSON(&mb); err != nil {
-			return artifact{}, err
-		}
-		if err := rep.WriteJSON(&sb); err != nil {
-			return artifact{}, err
+		files, err := render(rec.WriteChromeTrace, snap.WriteJSON, rep.WriteJSON)
+		if err != nil {
+			return tracedRun{}, err
 		}
 		row := servingAnalysisRow{
 			Runtime:          p.kind.String(),
@@ -108,58 +94,25 @@ func writeServingObservability(s servingSetup, cfg RunConfig, w io.Writer) error
 		for k, v := range rep.SegmentNS {
 			row.SegmentsMs[k] = float64(v) / 1e6
 		}
-		return artifact{runtime: p.kind.String(), trace: tb.Bytes(), metrics: mb.Bytes(),
-			serving: sb.Bytes(), row: row}, nil
+		rows[i] = row
+		return tracedRun{runtime: p.kind.String(), files: files}, nil
 	})
 	if err != nil {
 		return err
 	}
 	if cfg.TraceDir != "" {
-		if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
+		if err := writeTraced(w, cfg.TraceDir, "serving", fmt.Sprintf("serving %.1fx pool %d", pt.frac, pt.pool),
+			[]string{"trace", "metrics", "serving"}, runs, true); err != nil {
 			return err
 		}
-		for _, a := range arts {
-			slug := runtimeSlug(a.runtime)
-			names := map[string][]byte{
-				"serving_" + slug + ".trace.json":   a.trace,
-				"serving_" + slug + ".metrics.json": a.metrics,
-				"serving_" + slug + ".serving.json": a.serving,
-			}
-			for _, name := range []string{
-				"serving_" + slug + ".trace.json",
-				"serving_" + slug + ".metrics.json",
-				"serving_" + slug + ".serving.json",
-			} {
-				if err := os.WriteFile(filepath.Join(cfg.TraceDir, name), names[name], 0o644); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(w, "traced: serving %.1fx pool %d under %s -> %s\n",
-				pt.frac, pt.pool, a.runtime,
-				filepath.Join(cfg.TraceDir, "serving_"+slug+".{trace,metrics,serving}.json"))
-		}
 	}
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	agg := servingAnalysis{
+	return writeJSON(cfg.JSONDir, ServingAnalysisJSONName, servingAnalysis{
 		Batches:  cfg.Batches,
 		Prompt:   s.prompt,
 		Gen:      s.gen,
 		Seed:     cfg.Seed,
 		RateFrac: pt.frac,
 		Pool:     pt.pool,
-	}
-	for _, a := range arts {
-		agg.Rows = append(agg.Rows, a.row)
-	}
-	buf, err := json.MarshalIndent(agg, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, ServingAnalysisJSONName), buf, 0o644)
+		Rows:     rows,
+	})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -81,7 +82,7 @@ func (c DisaggConfig) Validate() error {
 		return fmt.Errorf("cluster: disagg needs both pools, got %d prefill / %d decode", c.PrefillNodes, c.DecodeNodes)
 	case c.Sequences <= 0:
 		return fmt.Errorf("cluster: disagg needs sequences")
-	case c.RatePerSec <= 0:
+	case c.RatePerSec <= 0 || math.IsNaN(c.RatePerSec) || math.IsInf(c.RatePerSec, 1):
 		return fmt.Errorf("cluster: disagg arrival rate %v", c.RatePerSec)
 	case c.PromptLen <= 0 || c.GenTokens <= 0:
 		return fmt.Errorf("cluster: disagg bad lengths %d/%d", c.PromptLen, c.GenTokens)

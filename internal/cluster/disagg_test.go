@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -120,6 +121,8 @@ func TestDisaggRejectsBadConfigs(t *testing.T) {
 		func(c *DisaggConfig) { c.DecodeNodes = 0 },
 		func(c *DisaggConfig) { c.Sequences = 0 },
 		func(c *DisaggConfig) { c.RatePerSec = 0 },
+		func(c *DisaggConfig) { c.RatePerSec = math.NaN() },
+		func(c *DisaggConfig) { c.RatePerSec = math.Inf(1) },
 		func(c *DisaggConfig) { c.PromptLen = 0 },
 		func(c *DisaggConfig) { c.MaxPool = 0 },
 		func(c *DisaggConfig) { c.Model = model.Spec{} },

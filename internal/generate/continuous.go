@@ -2,6 +2,7 @@ package generate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -51,7 +52,7 @@ func (c ContinuousConfig) Validate() error {
 	switch {
 	case c.Sequences <= 0:
 		return fmt.Errorf("generate: need sequences")
-	case c.RatePerSec <= 0:
+	case c.RatePerSec <= 0 || math.IsNaN(c.RatePerSec) || math.IsInf(c.RatePerSec, 1):
 		return fmt.Errorf("generate: arrival rate %v", c.RatePerSec)
 	case c.PromptLen <= 0 || c.GenTokens <= 0:
 		return fmt.Errorf("generate: bad lengths %d/%d", c.PromptLen, c.GenTokens)

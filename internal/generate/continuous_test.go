@@ -1,6 +1,7 @@
 package generate
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -215,6 +216,8 @@ func TestContinuousValidation(t *testing.T) {
 	bad := []ContinuousConfig{
 		{},
 		{Sequences: 1, RatePerSec: 0, PromptLen: 1, GenTokens: 1, MaxPool: 1},
+		{Sequences: 1, RatePerSec: math.NaN(), PromptLen: 1, GenTokens: 1, MaxPool: 1},
+		{Sequences: 1, RatePerSec: math.Inf(1), PromptLen: 1, GenTokens: 1, MaxPool: 1},
 		{Sequences: 1, RatePerSec: 1, PromptLen: 0, GenTokens: 1, MaxPool: 1},
 		{Sequences: 1, RatePerSec: 1, PromptLen: 1, GenTokens: 1, MaxPool: 0},
 	}

@@ -98,6 +98,16 @@ func DefaultConfig(nodeName string) Config {
 	}
 }
 
+// DegradationAwareConfig is DefaultConfig with DegradationAware set:
+// the scheduler setting of the robustness experiments and the scenario
+// corpus. Only the Liger runtime reads a scheduler config, so callers
+// may pass it (with core.Options.LigerSet) for every runtime kind.
+func DegradationAwareConfig(nodeName string) Config {
+	c := DefaultConfig(nodeName)
+	c.DegradationAware = true
+	return c
+}
+
 // Validate reports nonsensical settings.
 func (c Config) Validate() error {
 	switch {

@@ -134,7 +134,7 @@ func parseAssertion(expr string) (*assertion, error) {
 	// Optional `coeff * ref` form.
 	if star := strings.Index(rhs, "*"); star >= 0 {
 		coeff, err := strconv.ParseFloat(strings.TrimSpace(rhs[:star]), 64)
-		if err != nil {
+		if err != nil || !finite(coeff) {
 			return nil, fmt.Errorf("bad coefficient %q in %q", strings.TrimSpace(rhs[:star]), expr)
 		}
 		a.coeff = coeff
@@ -183,6 +183,9 @@ func parseRef(s string) (*metricRef, error) {
 
 func parseLiteral(s string) (literal, error) {
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		if !finite(f) {
+			return literal{}, fmt.Errorf("bad literal %q", s)
+		}
 		return literal{num: f, raw: s}, nil
 	}
 	spec, err := parseTimeSpecString(s, "literal")

@@ -52,6 +52,10 @@ func TestParseAssertionErrors(t *testing.T) {
 		{"vllm.goodput >= 1", `unknown runtime "vllm"`},
 		{"liger.goodput >= 2 * 3", "coefficient on a literal"},
 		{"liger.goodput >= banana", "bad literal"},
+		{"liger.goodput >= NaN", "bad literal"},
+		{"liger.goodput >= -Inf", "bad literal"},
+		{"liger.p99 <= NaNx", "bad literal"},
+		{"liger.goodput >= Inf * intra.goodput", "bad coefficient"},
 	}
 	for _, tc := range cases {
 		_, err := parseAssertion(tc.expr)

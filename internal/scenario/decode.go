@@ -144,7 +144,7 @@ func (s *section) integer(key string) (int, error) {
 		return 0, nil
 	}
 	f, ok := v.(float64)
-	if !ok || f != math.Trunc(f) {
+	if !ok || !finite(f) || f != math.Trunc(f) {
 		return 0, fmt.Errorf("%s: want an integer, got %s", s.child(key), renderScalar(v))
 	}
 	return int(f), nil
@@ -156,8 +156,8 @@ func (s *section) number(key string) (float64, error) {
 		return 0, nil
 	}
 	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("%s: want a number, got %s", s.child(key), renderScalar(v))
+	if !ok || !finite(f) {
+		return 0, fmt.Errorf("%s: want a finite number, got %s", s.child(key), renderScalar(v))
 	}
 	return f, nil
 }

@@ -48,13 +48,8 @@ func runOne(c *Compiled, kind core.RuntimeKind, shards int) (serve.Result, error
 	if c.Continuous != nil {
 		return runContinuousOne(c, kind, shards)
 	}
-	opts := core.Options{Node: c.Node, Model: c.Model, Runtime: kind, Shards: shards}
-	if kind == core.KindLiger {
-		lc := liger.DefaultConfig(c.Node.Name)
-		lc.DegradationAware = true
-		opts.Liger = lc
-		opts.LigerSet = true
-	}
+	opts := core.Options{Node: c.Node, Model: c.Model, Runtime: kind, Shards: shards,
+		Liger: liger.DegradationAwareConfig(c.Node.Name), LigerSet: true}
 	if !c.Schedule.Empty() {
 		sched := c.Schedule
 		opts.Faults = &sched
@@ -82,13 +77,8 @@ func runOne(c *Compiled, kind core.RuntimeKind, shards int) (serve.Result, error
 // per-sequence end-to-end times, TTFT/TPOT/Preemptions the continuous
 // metrics.
 func runContinuousOne(c *Compiled, kind core.RuntimeKind, shards int) (serve.Result, error) {
-	opts := core.Options{Node: c.Node, Model: c.Model, Runtime: kind, Shards: shards}
-	if kind == core.KindLiger {
-		lc := liger.DefaultConfig(c.Node.Name)
-		lc.DegradationAware = true
-		opts.Liger = lc
-		opts.LigerSet = true
-	}
+	opts := core.Options{Node: c.Node, Model: c.Model, Runtime: kind, Shards: shards,
+		Liger: liger.DegradationAwareConfig(c.Node.Name), LigerSet: true}
 	eng, err := core.NewEngine(opts)
 	if err != nil {
 		return serve.Result{}, err
@@ -160,17 +150,13 @@ func runContinuousOne(c *Compiled, kind core.RuntimeKind, shards int) (serve.Res
 // at any setting.
 func runFleetOne(c *Compiled, kind core.RuntimeKind, shards int) (serve.Result, error) {
 	cfg := cluster.Config{
-		Cluster: *c.Cluster,
-		Model:   c.Model,
-		Runtime: kind,
-		Probe:   c.Probe,
-		Workers: shards,
-	}
-	if kind == core.KindLiger {
-		lc := liger.DefaultConfig(c.Node.Name)
-		lc.DegradationAware = true
-		cfg.Liger = lc
-		cfg.LigerSet = true
+		Cluster:  *c.Cluster,
+		Model:    c.Model,
+		Runtime:  kind,
+		Probe:    c.Probe,
+		Workers:  shards,
+		Liger:    liger.DegradationAwareConfig(c.Node.Name),
+		LigerSet: true,
 	}
 	if !c.Schedule.Empty() {
 		sched := c.Schedule

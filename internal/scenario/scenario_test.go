@@ -99,6 +99,56 @@ func TestParseErrors(t *testing.T) {
 			"name: t\nworkload:\n  batches: 5\n  rate: 1\nnode:\n  devices:\n    - device: 0\n      speed: 0.5\n    - device: 0\n      link: 0.5\n",
 			"node.devices[1]: device 0 already overridden by node.devices[0]",
 		},
+		{
+			"NaN rate",
+			"name: t\nworkload:\n  batches: 5\n  rate: NaN\n",
+			"workload.rate: rate must be positive and finite, got NaN",
+		},
+		{
+			"infinite rate",
+			"name: t\nworkload:\n  batches: 5\n  rate: inf\n",
+			"workload.rate: rate must be positive and finite, got +Inf",
+		},
+		{
+			"NaN capacity-relative rate",
+			"name: t\nworkload:\n  batches: 5\n  rate: NaNx\n",
+			`workload.rate: bad capacity-relative rate "NaNx"`,
+		},
+		{
+			"infinite capacity-relative rate",
+			"name: t\nworkload:\n  batches: 5\n  rate: +Infx\n",
+			`workload.rate: bad capacity-relative rate "+Infx"`,
+		},
+		{
+			"NaN solo multiple",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\npolicy:\n  deadline: NaNx\n",
+			`policy.deadline: bad solo multiple "NaNx"`,
+		},
+		{
+			"infinite horizon fraction",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\nchaos:\n  events:\n    - kind: device-fail\n      device: 1\n      start: inf%\n",
+			`chaos.events[0].start: bad horizon fraction "inf%"`,
+		},
+		{
+			"NaN number",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\nnode:\n  devices:\n    - device: 0\n      speed: NaN\n",
+			"node.devices[0].speed: want a finite number, got",
+		},
+		{
+			"infinite integer",
+			"name: t\nworkload:\n  batches: inf\n  rate: 1\n",
+			"workload.batches: want an integer, got",
+		},
+		{
+			"NaN assertion coefficient",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\nassert:\n  - liger.goodput >= NaN * intra.goodput\n",
+			`assert[0]: bad coefficient "NaN"`,
+		},
+		{
+			"infinite assertion literal",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\nassert:\n  - liger.shed <= inf\n",
+			`assert[0]: bad literal "inf"`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -91,13 +92,13 @@ func parseTimeSpecString(s, path string) (TimeSpec, error) {
 		return TimeSpec{}, nil
 	case strings.HasSuffix(s, "%"):
 		f, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil || f < 0 {
+		if err != nil || f < 0 || !finite(f) {
 			return TimeSpec{}, fmt.Errorf("%s: bad horizon fraction %q", path, s)
 		}
 		return TimeSpec{kind: timeFrac, val: f / 100}, nil
 	case strings.HasSuffix(s, "x"):
 		f, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-		if err != nil || f < 0 {
+		if err != nil || f < 0 || !finite(f) {
 			return TimeSpec{}, fmt.Errorf("%s: bad solo multiple %q", path, s)
 		}
 		return TimeSpec{kind: timeSolo, val: f}, nil
@@ -142,21 +143,21 @@ func (r RateSpec) String() string {
 func parseRateSpec(v any, path string) (RateSpec, error) {
 	switch s := v.(type) {
 	case float64:
-		if s <= 0 {
-			return RateSpec{}, fmt.Errorf("%s: rate must be positive, got %v", path, s)
+		if s <= 0 || !finite(s) {
+			return RateSpec{}, fmt.Errorf("%s: rate must be positive and finite, got %v", path, s)
 		}
 		return RateSpec{abs: s}, nil
 	case string:
 		t := strings.TrimSpace(s)
 		if strings.HasSuffix(t, "x") {
 			f, err := strconv.ParseFloat(strings.TrimSuffix(t, "x"), 64)
-			if err != nil || f <= 0 {
+			if err != nil || f <= 0 || !finite(f) {
 				return RateSpec{}, fmt.Errorf("%s: bad capacity-relative rate %q", path, s)
 			}
 			return RateSpec{relative: f}, nil
 		}
 		f, err := strconv.ParseFloat(t, 64)
-		if err != nil || f <= 0 {
+		if err != nil || f <= 0 || !finite(f) {
 			return RateSpec{}, fmt.Errorf("%s: bad rate %q (want batches/s or \"0.8x\")", path, s)
 		}
 		return RateSpec{abs: f}, nil
@@ -164,3 +165,8 @@ func parseRateSpec(v any, path string) (RateSpec, error) {
 		return RateSpec{}, fmt.Errorf("%s: want a rate, got %T", path, v)
 	}
 }
+
+// finite reports whether f is neither NaN nor ±Inf. strconv.ParseFloat
+// accepts "NaN" and "inf", and comparisons such as f <= 0 let both
+// through, so every number a scenario supplies is checked with it.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

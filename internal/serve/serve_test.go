@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -136,6 +137,8 @@ func TestGenerateValidation(t *testing.T) {
 		{},
 		{Batches: 10, BatchSize: 0, RatePerSec: 1, MinSeq: 1, MaxSeq: 2},
 		{Batches: 10, BatchSize: 1, RatePerSec: 0, MinSeq: 1, MaxSeq: 2},
+		{Batches: 10, BatchSize: 1, RatePerSec: math.NaN(), MinSeq: 1, MaxSeq: 2},
+		{Batches: 10, BatchSize: 1, RatePerSec: math.Inf(1), MinSeq: 1, MaxSeq: 2},
 		{Batches: 10, BatchSize: 1, RatePerSec: 1, MinSeq: 5, MaxSeq: 2},
 		{Batches: 10, BatchSize: 1, RatePerSec: 1, Phase: model.Decode},
 	}

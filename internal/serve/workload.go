@@ -90,7 +90,7 @@ func (c TraceConfig) Validate() error {
 		return fmt.Errorf("serve: trace needs a positive batch count")
 	case c.BatchSize <= 0:
 		return fmt.Errorf("serve: batch size %d", c.BatchSize)
-	case c.RatePerSec <= 0:
+	case c.RatePerSec <= 0 || math.IsNaN(c.RatePerSec) || math.IsInf(c.RatePerSec, 1):
 		return fmt.Errorf("serve: arrival rate %v", c.RatePerSec)
 	case c.Phase == model.Context && (c.MinSeq <= 0 || c.MaxSeq < c.MinSeq):
 		return fmt.Errorf("serve: bad sequence range [%d, %d]", c.MinSeq, c.MaxSeq)

@@ -4,70 +4,28 @@
 //
 //	go run ./tools/ci
 //
-// Steps, in order (the run stops at the first failure):
-//  1. gofmt -l on tracked Go files (fails if any file needs formatting)
-//  2. go vet ./...
-//  3. go build ./...
-//  4. go test -race ./internal/runner ./internal/simclock
-//     ./internal/faults ./internal/serve ./internal/cluster
-//     ./internal/kvcache ./internal/generate
-//     (the concurrency-bearing packages plus the fault-injection,
-//     deadline/retry, fleet, and serving-telemetry layers get a
-//     dedicated race pass)
-//  5. go test ./... (full suite)
-//  6. a chaos smoke run: `ligerbench -exp chaos -quick` at a small
-//     batch count, proving the fault scenarios execute end to end
-//  7. a failover race pass: the permanent-device-failure paths across
-//     gpusim, runtimes, liger, and serve under -race
-//  8. an observability race pass: the tracer hook, dependency-edge
-//     emission, per-request decomposition, trace-analysis, and
-//     metrics-export paths under -race
-//  9. a failover smoke + determinism check: `ligerbench -exp failover
-//     -quick -trace-dir` at -parallel 1 and -parallel 4 must produce
-//     identical BENCH_failover.json bytes AND identical per-runtime
-//     Chrome-trace/metrics/analysis artifacts, each of which must parse
-//     as JSON — the byte-compare of failover_*.analysis.json doubles as
-//     the analyzer determinism smoke; a warn-only benchdiff pass then
-//     diffs the two sweeps' BENCH_failover.json to prove the regression
-//     gate runs end to end
-//  10. an explain smoke: `ligersim -explain` twice on the same seed must
-//     print byte-identical critical-path/gap/overlap reports
-//  11. a shards determinism smoke: `ligerbench -exp fig10 -quick` at
-//     -shards 0 and -shards 4 must print byte-identical output
-//     (timing lines stripped) — the lookahead-sharded path may never
-//     change results, only speed (hard fail)
-//  12. a descore regression pass: tools/descore re-measures DES-core
-//     events/sec (frozen heap baseline vs calendar queue) and benchdiff
-//     compares against the committed BENCH_descore.json — warn-only,
-//     because throughput on the 1-CPU CI container is noise; the
-//     determinism smokes above are the hard gates
-//  13. a fleet smoke + determinism check: `ligerbench -exp fleet
-//     -quick` at -parallel 1 -shards 1 and -parallel 4 -shards 4 must
-//     print identical tables and write byte-identical BENCH_fleet.json
-//     artifacts (each parsing as JSON), then a warn-only benchdiff
-//     over the two proves the regression gate reads the fleet artifact
-//  14. a serving smoke + determinism check: `ligerbench -exp serving
-//     -quick -trace-dir` (continuous batching over the paged KV
-//     allocator) at -parallel 1 -shards 1 and -parallel 4 -shards 4
-//     must print identical tables and write byte-identical
-//     BENCH_serving.json and BENCH_serving_analysis.json artifacts
-//     plus byte-identical per-runtime serving Chrome-trace/metrics/
-//     decomposition artifacts, each parsing as JSON; every
-//     serving_*.serving.json must carry the decomposition schema
-//     (requests, segment_ns, pools, imbalance, episodes, counters);
-//     warn-only benchdiff passes over the two BENCH_serving.json and
-//     the two BENCH_serving_analysis.json prove the regression gate
-//     reads both serving artifacts
-//  15. scenario acceptance: every scenarios/*.yaml must PASS its
-//     assertions, the impossible-slo and no-spare-capacity negative
-//     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
-//     gate — and `scenarios/cascading-failures.yaml`,
-//     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
-//     (the continuous-batching corpus entry) must print byte-identical
-//     reports at -parallel 1 and -parallel 4 -shards 4
-//  16. a stress smoke: `ligersim stress -n 25 -seed 42` twice must
-//     produce byte-identical aggregate survival reports, plus a small
-//     -race pass (`stress -n 3 -seed 7`) over the randomized fleet
+// The gate is the step table in steps(), run in order; the first
+// failure stops it. A step is one of three things:
+//
+//   - A command that must exit 0: gofmt, vet, build, the -race passes
+//     over the concurrency-bearing, failover and observability paths,
+//     the full test suite, the chaos smoke, a small -race stress
+//     campaign, and bounded native fuzzing of the scenario loader and
+//     the arrival-trace reader.
+//   - A twin: one command run at two settings (worker count, shard
+//     count, or simply twice). Its stdout and every artifact it writes
+//     must be byte-identical between the runs, after dropping the lines
+//     that legitimately depend on the host (wall-clock timing, artifact
+//     paths). Each artifact must parse as JSON, every
+//     *.serving.json decomposition must tile each request's latency
+//     exactly, and each run must write at least the twin's artifact
+//     floor. Warn-only benchdiff passes over the sweep artifacts prove
+//     the regression gate reads them. The twins cover the failover,
+//     fleet and serving sweeps, the fig10 shard plan, the -explain
+//     report, three corpus scenarios and the stress campaign.
+//   - The scenario gate: every scenarios/*.yaml passes its assertions
+//     and the negative fixtures fail, since a gate that cannot reject
+//     is not a gate.
 package main
 
 import (
@@ -81,202 +39,200 @@ import (
 	"time"
 )
 
+// step is one named check of the gate.
 type step struct {
 	name string
-	args []string
+	run  func() error
 }
 
-func main() {
-	steps := []step{
-		{"go vet", []string{"go", "vet", "./..."}},
-		{"go build", []string{"go", "build", "./..."}},
-		{"race (runner, simclock, faults, serve, cluster, kvcache, generate)", []string{"go", "test", "-race",
+func steps() []step {
+	// The bench sweeps run at smoke fidelity.
+	ligerbench := func(exp string) []string {
+		return []string{"run", "./cmd/ligerbench", "-exp", exp, "-quick", "-batches", "25", "-seed", "5"}
+	}
+	sharded := [2][]string{{"-parallel", "1", "-shards", "1"}, {"-parallel", "4", "-shards", "4"}}
+	scenario := func(name string) step {
+		file := filepath.Join("scenarios", name)
+		return step{"scenario determinism " + name, twin{
+			cmd:  []string{"run", "./cmd/ligersim", "run"},
+			runs: [2][]string{{"-parallel", "1", file}, {"-parallel", "4", "-shards", "4", file}},
+		}.check}
+	}
+	return []step{
+		{"gofmt", gofmtCheck},
+		{"go vet", command("go", "vet", "./...")},
+		{"go build", command("go", "build", "./...")},
+		{"race (runner, simclock, faults, serve, cluster, kvcache, generate)", command("go", "test", "-race",
 			"./internal/runner", "./internal/simclock", "./internal/faults", "./internal/serve",
-			"./internal/cluster", "./internal/kvcache", "./internal/generate"}},
-		{"go test", []string{"go", "test", "./..."}},
-		{"chaos smoke", []string{"go", "run", "./cmd/ligerbench",
-			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5"}},
-		{"failover race", []string{"go", "test", "-race",
+			"./internal/cluster", "./internal/kvcache", "./internal/generate")},
+		{"go test", command("go", "test", "./...")},
+		{"chaos smoke", command("go", ligerbench("chaos")...)},
+		{"failover race", command("go", "test", "-race",
 			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce",
-			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve"}},
-		{"observability race", []string{"go", "test", "-race",
+			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
+		{"observability race", command("go", "test", "-race",
 			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
 			"./internal/trace", "./internal/metrics", "./internal/gpusim",
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
-			"./internal/analyze"}},
+			"./internal/analyze")},
+		// Sweep JSON plus a trace/metrics/analysis triple per runtime;
+		// the analysis byte-compare doubles as the analyzer determinism
+		// smoke.
+		{"failover smoke", twin{
+			cmd:       ligerbench("failover"),
+			runs:      [2][]string{{"-parallel", "1"}, {"-parallel", "4"}},
+			dirFlags:  []string{"-json", "-trace-dir"},
+			floor:     10,
+			benchdiff: []string{"BENCH_failover.json"},
+		}.check},
+		{"explain smoke", twin{
+			cmd: []string{"run", "./cmd/ligersim", "-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain"},
+		}.check},
+		// The lookahead-sharded path may change speed, never results.
+		{"shards smoke", twin{
+			cmd:  ligerbench("fig10"),
+			runs: [2][]string{{"-shards", "0"}, {"-shards", "4"}},
+		}.check},
+		{"fleet smoke", twin{
+			cmd:       ligerbench("fleet"),
+			runs:      sharded,
+			dirFlags:  []string{"-json"},
+			floor:     1,
+			benchdiff: []string{"BENCH_fleet.json"},
+		}.check},
+		// Sweep JSON, the analysis aggregate, and a trace/metrics/serving
+		// triple per runtime.
+		{"serving smoke", twin{
+			cmd:       ligerbench("serving"),
+			runs:      sharded,
+			dirFlags:  []string{"-json", "-trace-dir"},
+			floor:     11,
+			benchdiff: []string{"BENCH_serving.json", "BENCH_serving_analysis.json"},
+		}.check},
+		{"scenario corpus", scenarioCorpus},
+		{"scenario fixtures", scenarioFixtures},
+		scenario("cascading-failures.yaml"),
+		scenario("fleet-node-loss.yaml"),
+		scenario("decode-heavy.yaml"),
+		{"stress smoke", twin{
+			cmd:  []string{"run", "./cmd/ligersim", "stress", "-n", "25", "-seed", "42"},
+			runs: [2][]string{{"-parallel", "1"}, {"-parallel", "4"}},
+		}.check},
+		{"stress race", command("go", "run", "-race", "./cmd/ligersim",
+			"stress", "-n", "3", "-seed", "7", "-parallel", "4")},
+		{"fuzz scenario", command("go", "test", "-run", "^$", "-fuzz", "^FuzzParse$", "-fuzztime=10s", "./internal/scenario")},
+		{"fuzz trace", command("go", "test", "-run", "^$", "-fuzz", "^FuzzLoadTrace$", "-fuzztime=10s", "./internal/serve")},
 	}
-	if err := gofmtCheck(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL gofmt: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("ok   gofmt")
-	for _, s := range steps {
+}
+
+func main() {
+	for _, s := range steps() {
 		start := time.Now()
-		cmd := exec.Command(s.args[0], s.args[1:]...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
+		if err := s.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", s.name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("ok   %s (%v)\n", s.name, time.Since(start).Round(time.Millisecond))
 	}
-	start := time.Now()
-	if err := failoverDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL failover smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   failover smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := explainDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL explain smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   explain smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := shardsDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL shards smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   shards smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := descoreRegression(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL descore: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   descore (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := fleetDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL fleet smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   fleet smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := servingDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL serving smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   serving smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := scenarioAcceptance(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL scenario acceptance: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   scenario acceptance (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := stressSmoke(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL stress smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   stress smoke (%v)\n", time.Since(start).Round(time.Millisecond))
 	fmt.Println("all checks passed")
 }
 
-// fleetDeterminism runs the fleet-failover sweep at two worker/shard
-// settings and fails unless table output and BENCH_fleet.json are
-// byte-identical — the fleet simulation's shard schedule (frontend +
-// one shard per node) may never change results. A warn-only benchdiff
-// over the two JSONs then proves the regression gate reads the fleet
-// artifact cleanly.
-func fleetDeterminism() error {
-	tmp, err := os.MkdirTemp("", "ci-fleet-*")
+// command returns a check that runs name with args, the gate's stdout
+// and stderr, and fails unless it exits 0.
+func command(name string, args ...string) func() error {
+	return func() error {
+		cmd := exec.Command(name, args...)
+		cmd.Stdout = os.Stdout
+		cmd.Stderr = os.Stderr
+		return cmd.Run()
+	}
+}
+
+// twin is a two-run determinism check: `go cmd... runs[i]...` for each
+// of the two runs, each followed by every dirFlag naming the run's own
+// artifact directory.
+type twin struct {
+	cmd      []string
+	runs     [2][]string
+	dirFlags []string
+	// floor is the minimum number of artifacts each run must write.
+	floor int
+	// benchdiff names the artifacts diffed warn-only between the runs.
+	benchdiff []string
+}
+
+func (t twin) check() error {
+	tmp, err := os.MkdirTemp("", "ci-twin-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	var outs [][]byte
-	for _, workers := range []string{"1", "4"} {
-		dir := filepath.Join(tmp, "p"+workers)
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "fleet", "-quick", "-batches", "25", "-seed", "5",
-			"-parallel", workers, "-shards", workers, "-json", dir)
+	var outs [2]output
+	var dirs, labels [2]string
+	for i, extra := range t.runs {
+		dirs[i] = filepath.Join(tmp, fmt.Sprint("run", i))
+		labels[i] = strings.Join(extra, " ")
+		if labels[i] == "" {
+			labels[i] = fmt.Sprint("run ", i+1)
+		}
+		args := append(append([]string{}, t.cmd...), extra...)
+		for _, flag := range t.dirFlags {
+			args = append(args, flag, dirs[i])
+		}
+		cmd := exec.Command("go", args...)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
-			return fmt.Errorf("-parallel %s: %v", workers, err)
+			return fmt.Errorf("%s: %v", labels[i], err)
 		}
-		outs = append(outs, stripTimingLines(out))
+		outs[i].stdout = stripHostLines(out)
+		if len(t.dirFlags) > 0 {
+			if outs[i].files, err = readArtifacts(dirs[i]); err != nil {
+				return err
+			}
+		}
 	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("fleet table differs between -parallel 1 and -parallel 4 -shards 4")
+	if err := compare(outs, labels, t.floor); err != nil {
+		return err
 	}
-	var jsons [][]byte
-	for _, workers := range []string{"1", "4"} {
-		buf, err := os.ReadFile(filepath.Join(tmp, "p"+workers, "BENCH_fleet.json"))
+	for _, name := range t.benchdiff {
+		err := command("go", "run", "./tools/benchdiff", "-warn",
+			filepath.Join(dirs[0], name), filepath.Join(dirs[1], name))()
 		if err != nil {
-			return err
+			return fmt.Errorf("benchdiff %s: %v", name, err)
 		}
-		var doc any
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("-parallel %s BENCH_fleet.json is not valid JSON: %v", workers, err)
-		}
-		jsons = append(jsons, buf)
-	}
-	if !bytes.Equal(jsons[0], jsons[1]) {
-		return fmt.Errorf("BENCH_fleet.json differs between -parallel 1 and -parallel 4 -shards 4")
-	}
-	cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn",
-		filepath.Join(tmp, "p1", "BENCH_fleet.json"),
-		filepath.Join(tmp, "p4", "BENCH_fleet.json"))
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchdiff: %v", err)
 	}
 	return nil
 }
 
-// servingDeterminism runs the continuous-serving sweep — with serving
-// telemetry on — at two worker/shard settings and fails unless table
-// output and every artifact are byte-identical: the sweep JSON, the
-// serving-analysis aggregate, and the per-runtime serving Chrome
-// trace, metrics snapshot and TTFT/TPOT decomposition. Iteration-level
-// scheduling over the paged KV allocator may never let the shard
-// schedule change results, and neither may tracing. Every artifact
-// must parse as JSON and every *.serving.json must carry the
-// decomposition schema; warn-only benchdiff passes over the two
-// sweeps' BENCH_serving.json and BENCH_serving_analysis.json prove
-// the regression gate reads both serving artifacts cleanly.
-func servingDeterminism() error {
-	tmp, err := os.MkdirTemp("", "ci-serving-*")
-	if err != nil {
-		return err
+// output is what one run of a twin produced: its stdout without host
+// lines, and every artifact it wrote, by file name.
+type output struct {
+	stdout []byte
+	files  map[string][]byte
+}
+
+// compare fails unless both runs wrote the same stdout and the same
+// artifacts byte for byte, each run wrote at least floor artifacts,
+// every artifact parses as JSON, and every *.serving.json passes
+// checkServingSchema. labels name the two runs in errors.
+func compare(outs [2]output, labels [2]string, floor int) error {
+	if !bytes.Equal(outs[0].stdout, outs[1].stdout) {
+		return fmt.Errorf("output differs between %s and %s", labels[0], labels[1])
 	}
-	defer os.RemoveAll(tmp)
-	var outs [][]byte
-	var artifacts []map[string][]byte
-	for _, workers := range []string{"1", "4"} {
-		dir := filepath.Join(tmp, "p"+workers)
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "serving", "-quick", "-batches", "25", "-seed", "5",
-			"-parallel", workers, "-shards", workers, "-json", dir, "-trace-dir", dir)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("-parallel %s: %v", workers, err)
+	for i, o := range outs {
+		if len(o.files) < floor {
+			return fmt.Errorf("%s: %d artifacts, want >= %d", labels[i], len(o.files), floor)
 		}
-		outs = append(outs, stripTracedLines(stripTimingLines(out)))
-		files, err := readArtifacts(dir)
-		if err != nil {
-			return err
+		for name := range o.files {
+			if _, ok := outs[1-i].files[name]; !ok {
+				return fmt.Errorf("%s missing from the %s run", name, labels[1-i])
+			}
 		}
-		// Sweep JSON + analysis aggregate + a trace/metrics/serving
-		// triple per runtime.
-		if len(files) < 11 {
-			return fmt.Errorf("-parallel %s: %d artifacts in %s, want >= 11", workers, len(files), dir)
-		}
-		artifacts = append(artifacts, files)
 	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("serving table differs between -parallel 1 and -parallel 4 -shards 4")
-	}
-	for name, buf := range artifacts[0] {
-		other, ok := artifacts[1][name]
-		if !ok {
-			return fmt.Errorf("%s missing from the -parallel 4 run", name)
-		}
-		if !bytes.Equal(buf, other) {
-			return fmt.Errorf("%s differs between -parallel 1 and -parallel 4 -shards 4", name)
+	for name, buf := range outs[0].files {
+		if !bytes.Equal(buf, outs[1].files[name]) {
+			return fmt.Errorf("%s differs between %s and %s", name, labels[0], labels[1])
 		}
 		var doc any
 		if err := json.Unmarshal(buf, &doc); err != nil {
@@ -286,16 +242,6 @@ func servingDeterminism() error {
 			if err := checkServingSchema(name, doc); err != nil {
 				return err
 			}
-		}
-	}
-	for _, artifact := range []string{"BENCH_serving.json", "BENCH_serving_analysis.json"} {
-		cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn",
-			filepath.Join(tmp, "p1", artifact),
-			filepath.Join(tmp, "p4", artifact))
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("benchdiff %s: %v", artifact, err)
 		}
 	}
 	return nil
@@ -339,246 +285,19 @@ func checkServingSchema(name string, doc any) error {
 	return nil
 }
 
-// scenarioAcceptance is the robustness gate: the whole corpus must
-// pass its assertions, the negative fixtures must fail, and one
-// scenario's report must be byte-identical across -parallel/-shards.
-func scenarioAcceptance() error {
-	corpus, err := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
-	if err != nil {
-		return err
-	}
-	if len(corpus) < 9 {
-		return fmt.Errorf("only %d corpus files in scenarios/ (want >= 9)", len(corpus))
-	}
-	cmd := exec.Command("go", append([]string{"run", "./cmd/ligersim", "run", "-q"}, corpus...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("corpus: %v", err)
-	}
-	// The negative fixtures must be rejected: exit status 1, no other
-	// error. A passing impossible-slo means the assertion engine is
-	// vacuous; a passing no-spare-capacity means a fleet with nothing
-	// to fail over to would count as surviving a node loss.
-	for _, fixture := range []string{"impossible-slo.yaml", "no-spare-capacity.yaml"} {
-		cmd = exec.Command("go", "run", "./cmd/ligersim", "run", "-q",
-			filepath.Join("scenarios", "fixtures", fixture))
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return fmt.Errorf("%s fixture PASSED; the assertion gate cannot reject\n%s", fixture, out)
-		}
-		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
-			return fmt.Errorf("%s fixture: %v\n%s", fixture, err, out)
-		}
-		if !bytes.Contains(out, []byte("FAIL")) {
-			return fmt.Errorf("%s fixture exited 1 without a FAIL verdict:\n%s", fixture, out)
-		}
-	}
-	// Determinism: the flagship chaos scenario, the fleet node-loss
-	// scenario, and the continuous-batching scenario must render the
-	// same bytes at any -parallel or -shards setting.
-	for _, name := range []string{"cascading-failures.yaml", "fleet-node-loss.yaml", "decode-heavy.yaml"} {
-		var reports [][]byte
-		for _, extra := range [][]string{{"-parallel", "1"}, {"-parallel", "4", "-shards", "4"}} {
-			args := append([]string{"run", "./cmd/ligersim", "run"}, extra...)
-			args = append(args, filepath.Join("scenarios", name))
-			cmd := exec.Command("go", args...)
-			cmd.Stderr = os.Stderr
-			out, err := cmd.Output()
-			if err != nil {
-				return fmt.Errorf("%s %v: %v", name, extra, err)
-			}
-			reports = append(reports, out)
-		}
-		if !bytes.Equal(reports[0], reports[1]) {
-			return fmt.Errorf("%s report differs between -parallel 1 and -parallel 4 -shards 4", name)
-		}
-	}
-	return nil
-}
-
-// stressSmoke reruns the acceptance-sized stress campaign and fails
-// unless the survival report reproduces byte-for-byte, then runs a
-// small campaign under the race detector (the harness fans instances
-// out across workers).
-func stressSmoke() error {
-	var outs [][]byte
-	for _, workers := range []string{"1", "4"} {
-		cmd := exec.Command("go", "run", "./cmd/ligersim",
-			"stress", "-n", "25", "-seed", "42", "-parallel", workers)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("-parallel %s: %v", workers, err)
-		}
-		outs = append(outs, out)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("stress -n 25 -seed 42 report differs between -parallel 1 and -parallel 4")
-	}
-	cmd := exec.Command("go", "run", "-race", "./cmd/ligersim",
-		"stress", "-n", "3", "-seed", "7", "-parallel", "4")
-	cmd.Stderr = os.Stderr
-	if _, err := cmd.Output(); err != nil {
-		return fmt.Errorf("-race stress: %v", err)
-	}
-	return nil
-}
-
-// shardsDeterminism runs the fig10 quick sweep at -shards 0 and
-// -shards 4 and fails unless stdout is byte-identical after stripping
-// the wall-clock timing lines. Today the single-node shard plan falls
-// back to the sequential engine, so this pins the fallback; when a
-// multi-domain plan lands, it pins the lookahead invariant.
-func shardsDeterminism() error {
-	var outs [][]byte
-	for _, shards := range []string{"0", "4"} {
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "fig10", "-quick", "-batches", "25", "-seed", "5", "-shards", shards)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("-shards %s: %v", shards, err)
-		}
-		outs = append(outs, stripTimingLines(out))
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("fig10 output differs between -shards 0 and -shards 4")
-	}
-	return nil
-}
-
-// stripTimingLines removes the "---- <exp> done in <wall> ----" lines,
-// the only output legitimately dependent on host speed.
-// stripTracedLines removes the "traced: ..." artifact-pointer lines —
-// they embed the output directory, which necessarily differs between
-// the two determinism runs.
-func stripTracedLines(out []byte) []byte {
+// stripHostLines drops the only output lines that legitimately depend
+// on the host: "---- <exp> done in <wall> ----" timing lines, and
+// "traced: ..." lines, which embed the run's own artifact directory.
+func stripHostLines(out []byte) []byte {
 	var kept [][]byte
 	for _, line := range bytes.Split(out, []byte("\n")) {
-		if bytes.HasPrefix(bytes.TrimSpace(line), []byte("traced:")) {
+		timing := bytes.HasPrefix(line, []byte("---- ")) && bytes.Contains(line, []byte(" done in "))
+		if timing || bytes.HasPrefix(bytes.TrimSpace(line), []byte("traced:")) {
 			continue
 		}
 		kept = append(kept, line)
 	}
 	return bytes.Join(kept, []byte("\n"))
-}
-
-func stripTimingLines(out []byte) []byte {
-	var kept [][]byte
-	for _, line := range bytes.Split(out, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("---- ")) && bytes.Contains(line, []byte(" done in ")) {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return bytes.Join(kept, []byte("\n"))
-}
-
-// descoreRegression re-measures DES-core throughput into a temp file
-// and benchdiffs it against the committed BENCH_descore.json, warn-only
-// (-threshold 0.5: only a halving of events/sec would even warn, and a
-// warn never fails the gate — CI container timing is not a benchmark).
-func descoreRegression() error {
-	tmp, err := os.MkdirTemp("", "ci-descore-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	fresh := filepath.Join(tmp, "BENCH_descore.json")
-	cmd := exec.Command("go", "run", "./tools/descore", "-o", fresh)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("descore run: %v", err)
-	}
-	cmd = exec.Command("go", "run", "./tools/benchdiff", "-warn", "-threshold", "0.5",
-		"BENCH_descore.json", fresh)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchdiff: %v", err)
-	}
-	return nil
-}
-
-// failoverDeterminism runs the traced failover sweep at two worker
-// counts and fails unless both produce byte-identical artifacts — the
-// sweep JSON plus every per-runtime Chrome trace and metrics snapshot
-// must be a pure function of the seed, never of the parallel schedule.
-// Each artifact must also parse as JSON (a malformed trace loads as a
-// blank screen in Perfetto, which no test would otherwise notice).
-func failoverDeterminism() error {
-	tmp, err := os.MkdirTemp("", "ci-failover-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	var artifacts []map[string][]byte
-	for _, workers := range []string{"1", "4"} {
-		dir := filepath.Join(tmp, "p"+workers)
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "failover", "-quick", "-batches", "25", "-seed", "5",
-			"-parallel", workers, "-json", dir, "-trace-dir", dir)
-		cmd.Stderr = os.Stderr
-		if out, err := cmd.Output(); err != nil {
-			return fmt.Errorf("-parallel %s: %v\n%s", workers, err, out)
-		}
-		files, err := readArtifacts(dir)
-		if err != nil {
-			return err
-		}
-		if len(files) < 10 { // sweep JSON + a trace/metrics/analysis triple per runtime
-			return fmt.Errorf("-parallel %s: %d artifacts in %s, want >= 10", workers, len(files), dir)
-		}
-		artifacts = append(artifacts, files)
-	}
-	for name, buf := range artifacts[0] {
-		other, ok := artifacts[1][name]
-		if !ok {
-			return fmt.Errorf("%s missing from the -parallel 4 run", name)
-		}
-		if !bytes.Equal(buf, other) {
-			return fmt.Errorf("%s differs between -parallel 1 and -parallel 4", name)
-		}
-		var doc any
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("%s is not valid JSON: %v", name, err)
-		}
-	}
-	// Warn-only benchdiff pass over the two sweeps' JSON: the artifacts
-	// just proved byte-identical, so this asserts the regression gate
-	// itself runs clean on a no-change diff.
-	cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn",
-		filepath.Join(tmp, "p1", "BENCH_failover.json"),
-		filepath.Join(tmp, "p4", "BENCH_failover.json"))
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchdiff: %v", err)
-	}
-	return nil
-}
-
-// explainDeterminism runs ligersim -explain twice on the same seed and
-// fails unless the printed report — critical path, gap table, overlap
-// summary, annotated timeline — is byte-identical.
-func explainDeterminism() error {
-	var outs [][]byte
-	for i := 0; i < 2; i++ {
-		cmd := exec.Command("go", "run", "./cmd/ligersim",
-			"-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain")
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("run %d: %v", i, err)
-		}
-		outs = append(outs, out)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("ligersim -explain output differs between identical runs")
-	}
-	return nil
 }
 
 // readArtifacts loads every regular file of dir by name.
@@ -599,6 +318,42 @@ func readArtifacts(dir string) (map[string][]byte, error) {
 		out[e.Name()] = buf
 	}
 	return out, nil
+}
+
+// scenarioCorpus runs every scenarios/*.yaml; each must pass its
+// assertions.
+func scenarioCorpus() error {
+	corpus, err := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
+	if err != nil {
+		return err
+	}
+	if len(corpus) < 9 {
+		return fmt.Errorf("only %d corpus files in scenarios/ (want >= 9)", len(corpus))
+	}
+	return command("go", append([]string{"run", "./cmd/ligersim", "run", "-q"}, corpus...)...)()
+}
+
+// scenarioFixtures requires the negative fixtures to be rejected: exit
+// status 1 with a FAIL verdict. A passing impossible-slo means the
+// assertion engine is vacuous; a passing no-spare-capacity means a
+// fleet with nothing to fail over to would count as surviving a node
+// loss.
+func scenarioFixtures() error {
+	for _, fixture := range []string{"impossible-slo.yaml", "no-spare-capacity.yaml"} {
+		cmd := exec.Command("go", "run", "./cmd/ligersim", "run", "-q",
+			filepath.Join("scenarios", "fixtures", fixture))
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			return fmt.Errorf("%s fixture PASSED; the assertion gate cannot reject\n%s", fixture, out)
+		}
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+			return fmt.Errorf("%s fixture: %v\n%s", fixture, err, out)
+		}
+		if !bytes.Contains(out, []byte("FAIL")) {
+			return fmt.Errorf("%s fixture exited 1 without a FAIL verdict:\n%s", fixture, out)
+		}
+	}
+	return nil
 }
 
 // gofmtCheck fails when any Go source file under the repo is not
