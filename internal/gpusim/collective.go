@@ -84,11 +84,13 @@ func (c *Collective) OnAbort(fn func(now simclock.Time)) {
 // when the watchdog fired) is cleaned up immediately: NCCL's equivalent
 // is a rank whose kernel observes the communicator abort flag and exits.
 func (c *Collective) join(k *kernelInstance, now simclock.Time) {
+	k.mustLive("collective join")
 	if c.done {
 		if c.aborted {
 			k.startedAt = k.admittedAt
 			k.cancelled = CancelCollectiveAbort
 			k.stream.dev.finish(k, now)
+			k.release()
 			return
 		}
 		panic("gpusim: member joined a finished collective")
@@ -172,6 +174,7 @@ func (c *Collective) finish(now simclock.Time) {
 	for _, m := range c.members {
 		m.stream.dev.finish(m, now)
 	}
+	c.releaseMembers()
 	if ct := c.node.collTracer; ct != nil {
 		ct.CollectiveFinish(c.id, now)
 	}
@@ -203,10 +206,21 @@ func (c *Collective) abort(now simclock.Time) {
 		m.cancelled = CancelCollectiveAbort
 		m.stream.dev.finish(m, now)
 	}
+	c.releaseMembers()
 	if ct := c.node.collTracer; ct != nil {
 		ct.CollectiveAbort(c.id, now)
 	}
 	for _, fn := range c.onAbort {
 		fn(now)
 	}
+}
+
+// releaseMembers returns the finished members to the kernel pool and
+// clears the slots. The slice keeps its length, so SetTimeout still
+// sees that members joined.
+func (c *Collective) releaseMembers() {
+	for _, m := range c.members {
+		m.release()
+	}
+	clear(c.members)
 }

@@ -228,6 +228,7 @@ func (d *Device) deliver(conn *connection, now simclock.Time) simclock.Time {
 // left-over policy: the kernel starts only if the residual SM pool
 // covers its demand. Returns false if it must wait for capacity.
 func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool {
+	k.mustLive("admission")
 	if d.failed || d.computeInUse+k.spec.ComputeDemand > 1+admitEpsilon {
 		return false
 	}
@@ -340,9 +341,12 @@ func (d *Device) admitPending(now simclock.Time) {
 }
 
 // finish completes a kernel: releases resources, advances the stream,
-// retries blocked admissions and refreshes rates.
+// retries blocked admissions and refreshes rates. A plain kernel goes
+// back to the pool afterwards; a collective member is released by its
+// Collective, which still reads it after this returns.
 func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	if k.state != kRunning {
+		k.mustLive("finish")
 		return
 	}
 	d.sample(now)
@@ -367,6 +371,9 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	d.recompute(now)
 	if k.spec.OnDone != nil {
 		k.spec.OnDone(now)
+	}
+	if k.spec.Coll == nil {
+		k.release()
 	}
 }
 
@@ -501,14 +508,6 @@ func (d *Device) setKernelRate(k *kernelInstance, rate float64, now simclock.Tim
 	}
 	k.rate = rate
 	k.completion.Cancel()
-	if k.completionFn == nil {
-		// One closure per kernel instance, reused across every rate
-		// change instead of a fresh allocation per re-time.
-		k.completionFn = func(t simclock.Time) {
-			k.updateProgress(t)
-			d.finish(k, t)
-		}
-	}
 	delay := completionDelay(k.remainingNS, rate)
 	d.node.evCounts.Device++
 	k.completion = d.node.eng.After(delay, k.completionFn)

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"liger/internal/simclock"
@@ -70,6 +71,9 @@ const (
 	kQueued kernelState = iota
 	kRunning
 	kDone
+	// kFreed marks an instance back in kernelPool; the simulator must
+	// hold no reference to it, so any use is a bug.
+	kFreed
 )
 
 // kernelInstance is a launched kernel tracked by the simulator.
@@ -97,8 +101,8 @@ type kernelInstance struct {
 	rate        float64
 	lastUpdate  simclock.Time
 	completion  simclock.Handle
-	// completionFn is the reusable completion callback; allocated once
-	// on the kernel's first rate assignment.
+	// completionFn is the reusable completion callback, allocated once
+	// per pooled instance and kept across reuse.
 	completionFn func(simclock.Time)
 
 	admittedAt simclock.Time
@@ -110,6 +114,49 @@ type kernelInstance struct {
 	// a normal completion. Set by the cancel paths before finish so the
 	// tracer can flag the span.
 	cancelled string
+}
+
+// kernelPool recycles kernel instances, so a steady-state launch does
+// not allocate. It is shared by every node in the process (and by the
+// goroutines of a parallel sweep), which is why it is a sync.Pool: a
+// per-node free list would keep each live node's high-water mark
+// resident. An instance is released once the simulator drops its last
+// reference to it (see release); tracers receive spans and dep records
+// by value and never keep one.
+var kernelPool sync.Pool
+
+// newKernel takes a zeroed instance from the pool, or allocates one.
+func newKernel() *kernelInstance {
+	if k, ok := kernelPool.Get().(*kernelInstance); ok {
+		return k
+	}
+	k := &kernelInstance{}
+	// The callback reaches the device through the stream, which is
+	// rebound on every launch.
+	k.completionFn = func(t simclock.Time) {
+		k.updateProgress(t)
+		k.stream.dev.finish(k, t)
+	}
+	return k
+}
+
+// release resets k fully (dropping its OnDone closure, collective and
+// stream) and returns it to the pool. Callers own the last reference:
+// Device.finish for plain kernels, Collective.finish/abort for members
+// and late joiners, and Stream.advance for kernels cancelled on a
+// failed device.
+func (k *kernelInstance) release() {
+	k.mustLive("release")
+	fn := k.completionFn
+	*k = kernelInstance{state: kFreed, completionFn: fn}
+	kernelPool.Put(k)
+}
+
+// mustLive panics if k was already returned to the pool.
+func (k *kernelInstance) mustLive(op string) {
+	if k.state == kFreed {
+		panic("gpusim: " + op + " of a released kernel instance")
+	}
 }
 
 // updateProgress folds elapsed time into remaining work at the old rate.

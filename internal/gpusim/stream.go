@@ -88,11 +88,16 @@ func (e *Event) OnHost(fn func(now simclock.Time)) {
 
 // Stream is a CUDA-like in-order command queue on one device.
 type Stream struct {
-	node     *Node
-	dev      *Device
-	id       int
-	conn     *connection
+	node *Node
+	dev  *Device
+	id   int
+	conn *connection
+	// queue[qhead:] are the commands not yet completed. Popping advances
+	// qhead instead of reslicing, so the backing array is reused: it
+	// rewinds when the queue drains and compacts when an append would
+	// otherwise regrow it.
 	queue    []*command
+	qhead    int
 	priority int
 
 	// lastDone is the id of the last kernel completed on this stream
@@ -124,16 +129,22 @@ func (s *Stream) ID() int { return s.id }
 func (s *Stream) DeviceID() int { return s.dev.id }
 
 // QueueLen reports commands not yet completed.
-func (s *Stream) QueueLen() int { return len(s.queue) }
+func (s *Stream) QueueLen() int { return len(s.queue) - s.qhead }
 
 // Idle reports whether the stream has no outstanding work.
-func (s *Stream) Idle() bool { return len(s.queue) == 0 }
+func (s *Stream) Idle() bool { return s.QueueLen() == 0 }
 
 // issue appends a command, computing its host→device delivery time from
 // the stream's launch connection, and schedules the delivery.
 func (s *Stream) issue(cmd *command) {
 	now := s.node.eng.Now()
 	cmd.deliveredAt = s.dev.deliver(s.conn, now)
+	if s.qhead > 0 && len(s.queue) == cap(s.queue) {
+		n := copy(s.queue, s.queue[s.qhead:])
+		clear(s.queue[n:])
+		s.queue = s.queue[:n]
+		s.qhead = 0
+	}
 	s.queue = append(s.queue, cmd)
 	s.dev.queueDepth++
 	if qt := s.node.queueTracer; qt != nil {
@@ -150,8 +161,9 @@ func (s *Stream) Launch(spec KernelSpec) {
 	if spec.ComputeDemand < 0 || spec.MemBWDemand < 0 || spec.Duration < 0 {
 		panic("gpusim: negative kernel demand or duration")
 	}
-	k := &kernelInstance{spec: spec, stream: s, id: s.node.nextKernelID,
-		connPred: s.conn.lastKernel, headPred: -1, admitPred: -1}
+	k := newKernel()
+	k.spec, k.stream, k.id, k.state = spec, s, s.node.nextKernelID, kQueued
+	k.connPred, k.headPred, k.admitPred = s.conn.lastKernel, -1, -1
 	s.node.nextKernelID++
 	if c := spec.Coll; c != nil {
 		if ct := s.node.collTracer; ct != nil {
@@ -194,10 +206,10 @@ func (s *Stream) Wait(ev *Event) {
 
 // head returns the oldest incomplete command, or nil.
 func (s *Stream) head() *command {
-	if len(s.queue) == 0 {
+	if s.qhead == len(s.queue) {
 		return nil
 	}
-	return s.queue[0]
+	return s.queue[s.qhead]
 }
 
 // headKernelDelivery is used for deterministic admission ordering.
@@ -211,9 +223,13 @@ func (s *Stream) headKernelDelivery() simclock.Time {
 // pop removes the head command and recycles it. Callers must copy any
 // command fields they still need (e.g. the record event) before popping.
 func (s *Stream) pop() {
-	cmd := s.queue[0]
-	s.queue[0] = nil
-	s.queue = s.queue[1:]
+	cmd := s.queue[s.qhead]
+	s.queue[s.qhead] = nil
+	s.qhead++
+	if s.qhead == len(s.queue) {
+		s.queue = s.queue[:0]
+		s.qhead = 0
+	}
 	s.dev.queueDepth--
 	if qt := s.node.queueTracer; qt != nil {
 		qt.QueueDepth(s.dev.id, s.dev.queueDepth, s.node.eng.Now())
@@ -223,8 +239,8 @@ func (s *Stream) pop() {
 
 // completeHead is called by the device when the head kernel finishes.
 func (s *Stream) completeHead(now simclock.Time) {
-	if len(s.queue) > 0 && s.queue[0].kind == cmdKernel && s.queue[0].kernel.state == kDone {
-		s.lastDone = s.queue[0].kernel.id
+	if cmd := s.head(); cmd != nil && cmd.kind == cmdKernel && cmd.kernel.state == kDone {
+		s.lastDone = cmd.kernel.id
 		s.pop()
 	}
 	// Whatever runs next on this stream was released by the finished
@@ -261,6 +277,7 @@ func (s *Stream) advance(now simclock.Time) {
 			}
 			return
 		case cmdKernel:
+			cmd.kernel.mustLive("stream advance")
 			switch cmd.kernel.state {
 			case kQueued:
 				// First admission attempt: the kernel just reached the head
@@ -292,6 +309,7 @@ func (s *Stream) advance(now simclock.Time) {
 					if k.spec.OnDone != nil {
 						k.spec.OnDone(now)
 					}
+					k.release()
 					continue
 				}
 				if !s.dev.tryAdmit(s, cmd.kernel, now) {

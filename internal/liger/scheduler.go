@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
-	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
@@ -277,13 +276,9 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 				subset = append(subset, f)
 				continue
 			}
-			// Lengthy kernel: runtime decomposition (§3.6). Find how many
-			// 1/D pieces fit in the remaining budget.
-			take := s.fittingPieces(head.Desc, budget)
-			if take == 0 {
-				break
-			}
-			headPieces, rest, ok := head.Desc.SplitPrefix(s.cfg.DivisionFactor, take)
+			// Lengthy kernel: runtime decomposition (§3.6). Launch the
+			// 1/D pieces that fit in the remaining budget.
+			headPieces, rest, ok := head.Desc.SplitWithin(s.cfg.DivisionFactor, budget)
 			if !ok {
 				break
 			}
@@ -336,33 +331,6 @@ func (s *Scheduler) planSecondary(typ gpusim.KernelClass, window time.Duration) 
 		}
 	}
 	return s.collectSecondary(typ, window)
-}
-
-// fittingPieces returns how many pieces of a DivisionFactor-way split
-// of desc fit within budget (0 if the kernel is indivisible or nothing
-// fits).
-func (s *Scheduler) fittingPieces(desc parallel.KernelDesc, budget time.Duration) int {
-	d := s.cfg.DivisionFactor
-	if d < 2 || !desc.CanSplit() {
-		return 0
-	}
-	pieces, ok := desc.Split(d)
-	if !ok {
-		return 0
-	}
-	var acc time.Duration
-	take := 0
-	for _, p := range pieces {
-		if acc+p.Duration > budget {
-			break
-		}
-		acc += p.Duration
-		take++
-	}
-	if take >= d {
-		take = d - 1 // whole kernel fitting is handled by the fast path
-	}
-	return take
 }
 
 // launchRound collects the two subsets and launches them onto the

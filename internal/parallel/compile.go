@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"liger/internal/costmodel"
@@ -33,13 +34,22 @@ func WithGEMMSplit(s SplitStrategy) Option {
 }
 
 // Compiler turns logical operators into costed kernels for a specific
-// node and NCCL configuration.
+// node and NCCL configuration. Every transformer layer lowers to the
+// same kernels, so a compile lowers one layer template and stamps it
+// once per layer; only the names differ, and those come from a table
+// the Compiler builds on first use and reuses for every later compile.
+// A Compiler is not safe for concurrent use, like the Engine that owns
+// it.
 type Compiler struct {
 	node      hw.Node
 	cm        *costmodel.Model
 	comm      *nccl.Comm
 	ncclCfg   nccl.Config
 	gemmSplit SplitStrategy
+
+	// layerNames maps a layer-template kernel name to its per-layer
+	// names, "l<i>." + name, grown on demand.
+	layerNames map[string][]string
 }
 
 // NewCompiler builds a compiler for the node. ncclCfg selects the
@@ -118,7 +128,6 @@ func (c *Compiler) gemmDesc(name string, m, n, k int) KernelDesc {
 				rows, cols = piece, n
 			}
 			out[i] = KernelDesc{
-				Name:          fmt.Sprintf("%s[%d/%d]", name, i+1, parts),
 				Class:         gpusim.Compute,
 				Duration:      cm.GEMM(rows, cols, k),
 				ComputeDemand: cs.GEMMCompute,
@@ -167,7 +176,6 @@ func (c *Compiler) allReduceDesc(name string, bytes int64) KernelDesc {
 				b++
 			}
 			out[i] = KernelDesc{
-				Name:          fmt.Sprintf("%s[%d/%d]", name, i+1, parts),
 				Class:         gpusim.Comm,
 				Duration:      comm.AllReduceChunk(bytes, b),
 				ComputeDemand: comm.ComputeDemand(),
@@ -197,11 +205,10 @@ func (c *Compiler) p2pDesc(name string, bytes int64) KernelDesc {
 }
 
 // compileOp lowers one logical op at tensor-parallel degree tp into the
-// kernels one rank executes, appending the Megatron all-reduce at
-// ReduceAfter points.
-func (c *Compiler) compileOp(prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
+// kernels one rank executes, appending them to out, with the Megatron
+// all-reduce at ReduceAfter points.
+func (c *Compiler) compileOp(out []KernelDesc, prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
 	tokens := w.Tokens()
-	var out []KernelDesc
 	name := prefix + op.Name
 	switch op.Kind {
 	case model.OpGEMM:
@@ -272,20 +279,61 @@ func (c *Compiler) IntraOp(spec model.Spec, tp int, w model.Workload) ([]KernelD
 	if tp < 1 {
 		return nil, fmt.Errorf("parallel: tensor-parallel degree %d", tp)
 	}
-	var out []KernelDesc
-	for _, op := range model.PreOps(spec, w) {
-		out = append(out, c.compileOp("", op, tp, w)...)
+	lower := func(out []KernelDesc, op model.Op) []KernelDesc {
+		return c.compileOp(out, "", op, tp, w)
 	}
-	for l := 0; l < spec.Layers; l++ {
-		prefix := fmt.Sprintf("l%d.", l)
-		for _, op := range model.LayerOps(spec, w) {
-			out = append(out, c.compileOp(prefix, op, tp, w)...)
+	pre := lowerOps(model.PreOps(spec, w), lower)
+	layer := lowerOps(model.LayerOps(spec, w), lower)
+	post := lowerOps(model.PostOps(spec, w), lower)
+	out := make([]KernelDesc, 0, len(pre)+spec.Layers*len(layer)+len(post))
+	out = append(out, pre...)
+	out = c.stampLayers(out, layer, 0, spec.Layers)
+	return append(out, post...), nil
+}
+
+// lowerOps lowers a run of ops in order with lower.
+func lowerOps(ops []model.Op, lower func([]KernelDesc, model.Op) []KernelDesc) []KernelDesc {
+	var out []KernelDesc
+	for _, op := range ops {
+		out = lower(out, op)
+	}
+	return out
+}
+
+// stampLayers appends count copies of the one-layer template tmpl to
+// out, for layers first..first+count-1 in order, naming each copy
+// "l<i>." + its template name. The copies share the template's
+// splitters, which never read a kernel's name.
+func (c *Compiler) stampLayers(out, tmpl []KernelDesc, first, count int) []KernelDesc {
+	names := make([][]string, len(tmpl))
+	for j, k := range tmpl {
+		names[j] = c.layerNamesOf(k.Name, first+count)
+	}
+	for l := first; l < first+count; l++ {
+		base := len(out)
+		out = append(out, tmpl...)
+		for j := range tmpl {
+			out[base+j].Name = names[j][l]
 		}
 	}
-	for _, op := range model.PostOps(spec, w) {
-		out = append(out, c.compileOp("", op, tp, w)...)
+	return out
+}
+
+// layerNamesOf returns the names of template kernel name in layers
+// 0..layers-1, extending the Compiler's table when a compile needs more
+// layers than any before it.
+func (c *Compiler) layerNamesOf(name string, layers int) []string {
+	names := c.layerNames[name]
+	if len(names) < layers {
+		if c.layerNames == nil {
+			c.layerNames = make(map[string][]string)
+		}
+		for l := len(names); l < layers; l++ {
+			names = append(names, "l"+strconv.Itoa(l)+"."+name)
+		}
+		c.layerNames[name] = names
 	}
-	return out, nil
+	return names
 }
 
 // Stage is one pipeline stage: the kernels one device runs for its
@@ -330,31 +378,35 @@ func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int
 	perStage := spec.Layers / stages
 	extra := spec.Layers % stages
 	actBytes := int64(w.Tokens()) * int64(spec.Hidden) * 2
+	lower := func(out []KernelDesc, op model.Op) []KernelDesc {
+		return c.compilePieces(out, op, tp, w)
+	}
+	pre := lowerOps(model.PreOps(spec, w), lower)
+	layer := lowerOps(model.LayerOps(spec, w), lower)
+	post := lowerOps(model.PostOps(spec, w), lower)
 
-	var out []Stage
-	layer := 0
+	out := make([]Stage, 0, stages)
+	first := 0
 	for st := 0; st < stages; st++ {
 		count := perStage
 		if st < extra {
 			count++
 		}
-		stage := Stage{Device: st}
+		n := count * len(layer)
 		if st == 0 {
-			for _, op := range model.PreOps(spec, w) {
-				stage.Kernels = append(stage.Kernels, c.compilePieces("", op, tp, w)...)
-			}
-		}
-		for i := 0; i < count; i++ {
-			prefix := fmt.Sprintf("l%d.", layer)
-			for _, op := range model.LayerOps(spec, w) {
-				stage.Kernels = append(stage.Kernels, c.compilePieces(prefix, op, tp, w)...)
-			}
-			layer++
+			n += len(pre)
 		}
 		if st == stages-1 {
-			for _, op := range model.PostOps(spec, w) {
-				stage.Kernels = append(stage.Kernels, c.compilePieces("", op, tp, w)...)
-			}
+			n += len(post)
+		}
+		stage := Stage{Device: st, Kernels: make([]KernelDesc, 0, n)}
+		if st == 0 {
+			stage.Kernels = append(stage.Kernels, pre...)
+		}
+		stage.Kernels = c.stampLayers(stage.Kernels, layer, first, count)
+		first += count
+		if st == stages-1 {
+			stage.Kernels = append(stage.Kernels, post...)
 		} else {
 			stage.SendNext = c.p2pDesc(fmt.Sprintf("s%d_send", st), actBytes)
 			stage.HasSend = true
@@ -364,27 +416,25 @@ func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int
 	return out, nil
 }
 
-// compilePieces lowers an op for a pipeline stage. With tp == 1 it is
-// the original kernel; with tp > 1 (Inter-Th) the op becomes its tp
-// partitioned pieces executed sequentially on the stage device, with no
-// all-reduce (a single device holds every piece).
-func (c *Compiler) compilePieces(prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
-	if tp == 1 {
-		op.ReduceAfter = false
-		return c.compileOp(prefix, op, 1, w)
-	}
+// compilePieces lowers an op for a pipeline stage, appending to out.
+// With tp == 1 it is the original kernel; with tp > 1 (Inter-Th) the op
+// becomes its tp partitioned pieces "p<i>.<op>" executed sequentially on
+// the stage device, with no all-reduce (a single device holds every
+// piece).
+func (c *Compiler) compilePieces(out []KernelDesc, op model.Op, tp int, w model.Workload) []KernelDesc {
 	op.ReduceAfter = false
+	if tp == 1 {
+		return c.compileOp(out, "", op, 1, w)
+	}
 	switch op.Partition {
 	case model.PartCols, model.PartRows, model.PartHeads:
-		var out []KernelDesc
 		for p := 0; p < tp; p++ {
-			piece := c.compileOp(fmt.Sprintf("%sp%d.", prefix, p), op, tp, w)
-			out = append(out, piece...)
+			out = c.compileOp(out, "p"+strconv.Itoa(p)+".", op, tp, w)
 		}
 		return out
 	default:
 		// Replicated ops run once per device in intra-op; a single stage
 		// device runs them once.
-		return c.compileOp(prefix, op, 1, w)
+		return c.compileOp(out, "", op, 1, w)
 	}
 }

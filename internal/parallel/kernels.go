@@ -9,6 +9,7 @@ package parallel
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"liger/internal/gpusim"
@@ -32,8 +33,11 @@ type KernelDesc struct {
 	// Bytes is the payload of communication kernels.
 	Bytes int64
 
-	// split produces parts equal-capability sub-kernels, or nil if the
-	// kernel is not decomposable.
+	// split produces parts equal-capability sub-kernels, or is nil if the
+	// kernel is not decomposable. The pieces come back unnamed: Split and
+	// the prefix splitters name them after the kernel being split, so a
+	// splitter never reads a name and one splitter serves every layer's
+	// copy of a template kernel.
 	split func(parts int) []KernelDesc
 }
 
@@ -46,7 +50,11 @@ func (k KernelDesc) Split(parts int) ([]KernelDesc, bool) {
 	if k.split == nil || parts < 2 {
 		return nil, false
 	}
-	return k.split(parts), true
+	pieces := k.split(parts)
+	for i := range pieces {
+		pieces[i].Name = pieceName(k.Name, i+1, parts)
+	}
+	return pieces, true
 }
 
 // SplitPrefix returns the first `take` of `parts` pieces and a
@@ -60,32 +68,81 @@ func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest Kernel
 	if len(pieces) != parts {
 		return nil, KernelDesc{}, false
 	}
+	head, rest = k.prefix(pieces, take)
+	return head, rest, true
+}
+
+// SplitWithin splits the kernel once into parts pieces and peels off
+// the longest prefix whose solo durations fit in budget, stopping one
+// piece short of the whole kernel (a kernel that fits whole needs no
+// decomposition). It returns ok=false when the kernel is indivisible,
+// parts < 2, or not even the first piece fits. Only the returned head
+// pieces and the remainder are named.
+func (k KernelDesc) SplitWithin(parts int, budget time.Duration) (head []KernelDesc, rest KernelDesc, ok bool) {
+	if k.split == nil || parts < 2 {
+		return nil, KernelDesc{}, false
+	}
+	pieces := k.split(parts)
+	if len(pieces) != parts {
+		return nil, KernelDesc{}, false
+	}
+	var acc time.Duration
+	take := 0
+	for _, p := range pieces[:parts-1] {
+		if acc+p.Duration > budget {
+			break
+		}
+		acc += p.Duration
+		take++
+	}
+	if take == 0 {
+		return nil, KernelDesc{}, false
+	}
+	head, rest = k.prefix(pieces, take)
+	return head, rest, true
+}
+
+// prefix names the first take of k's unnamed split pieces and merges
+// the others into one remainder kernel, to avoid needless launches: the
+// remainder's duration and payload are the sums of the tail pieces.
+func (k KernelDesc) prefix(pieces []KernelDesc, take int) (head []KernelDesc, rest KernelDesc) {
+	parts := len(pieces)
 	head = pieces[:take]
-	// Merge the remaining pieces into one kernel to avoid needless
-	// launches; its duration is the sum of the tail pieces.
+	for i := range head {
+		head[i].Name = pieceName(k.Name, i+1, parts)
+	}
 	rest = pieces[take]
 	for _, p := range pieces[take+1:] {
 		rest.Duration += p.Duration
 		rest.Bytes += p.Bytes
 	}
 	rest.Name = fmt.Sprintf("%s[rest%d/%d]", k.Name, parts-take, parts)
-	// The merged remainder keeps the original split granularity.
-	restCopy := rest
+	// The merged remainder keeps the original split granularity: it
+	// re-splits by splitting the original and scaling each piece's
+	// duration, while its payload is divided exactly (base plus one byte
+	// for the first bytes%p pieces, as allReduceDesc divides it).
 	origSplit := k.split
 	frac := float64(parts-take) / float64(parts)
+	restBytes := rest.Bytes
 	rest.split = func(p int) []KernelDesc {
-		// Re-split the remainder by splitting the original and scaling.
-		pieces := origSplit(p)
-		out := make([]KernelDesc, p)
-		for i := range pieces {
-			out[i] = pieces[i]
-			out[i].Duration = time.Duration(float64(pieces[i].Duration) * frac)
-			out[i].Bytes = int64(float64(pieces[i].Bytes) * frac)
-			out[i].Name = fmt.Sprintf("%s[%d/%d]", restCopy.Name, i+1, p)
+		out := origSplit(p)
+		base, extra := restBytes/int64(p), restBytes%int64(p)
+		for i := range out {
+			out[i].Duration = time.Duration(float64(out[i].Duration) * frac)
+			out[i].Bytes = base
+			if int64(i) < extra {
+				out[i].Bytes++
+			}
 		}
 		return out
 	}
-	return head, rest, true
+	return head, rest
+}
+
+// pieceName is the name of piece i (1-based) of a parts-way split:
+// "name[i/parts]".
+func pieceName(name string, i, parts int) string {
+	return name + "[" + strconv.Itoa(i) + "/" + strconv.Itoa(parts) + "]"
 }
 
 // TotalDurations sums solo durations by kernel class — the analytical

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"time"
 
 	"liger/internal/gpusim"
@@ -32,7 +31,6 @@ func (k KernelDesc) WithEqualSplit() KernelDesc {
 		pieces := make([]KernelDesc, parts)
 		for i := range pieces {
 			pieces[i] = base
-			pieces[i].Name = fmt.Sprintf("%s[%d/%d]", base.Name, i+1, parts)
 			pieces[i].Duration = base.Duration / time.Duration(parts)
 			pieces[i].Bytes = base.Bytes / int64(parts)
 		}

@@ -62,9 +62,10 @@ func steps() []step {
 		{"gofmt", gofmtCheck},
 		{"go vet", command("go", "vet", "./...")},
 		{"go build", command("go", "build", "./...")},
-		{"race (runner, simclock, faults, serve, cluster, kvcache, generate)", command("go", "test", "-race",
+		{"race (runner, simclock, faults, serve, cluster, kvcache, generate, gpusim, parallel, liger, runtimes)", command("go", "test", "-race",
 			"./internal/runner", "./internal/simclock", "./internal/faults", "./internal/serve",
-			"./internal/cluster", "./internal/kvcache", "./internal/generate")},
+			"./internal/cluster", "./internal/kvcache", "./internal/generate",
+			"./internal/gpusim", "./internal/parallel", "./internal/liger", "./internal/runtimes")},
 		{"go test", command("go", "test", "./...")},
 		{"chaos smoke", command("go", ligerbench("chaos")...)},
 		{"failover race", command("go", "test", "-race",
