@@ -202,14 +202,7 @@ func runDisaggCLI(node hw.Node, spec model.Spec, kind core.RuntimeKind, lcfg lig
 		sequences, co.Prompt, co.Gen, rate, co.Pool)
 	fmt.Printf("handoffs  : %d KV transfers, %.1f MB total\n",
 		res.KVTransfers, float64(res.KVTransferBytes)/1e6)
-	printContinuousMetrics(generate.ContinuousResult{
-		Result:           res.Result,
-		Iterations:       res.Iterations,
-		MeanPool:         res.MeanPool,
-		Preemptions:      res.Preemptions,
-		RecomputedTokens: res.RecomputedTokens,
-		Makespan:         res.Makespan,
-	})
+	printContinuousMetrics(res.ContinuousResult)
 	writeServingOutputs(d.ServingTrace(), fmt.Sprint(kind), co)
 }
 

@@ -82,41 +82,25 @@ type Config struct {
 	IgnoreMemory bool
 }
 
-// dispatchRec maps one node-runtime completion ID back to the routed
-// request and the replica the router charged it to.
-type dispatchRec struct {
-	req int
-	rep int
-}
-
-// nodeState is one physical node's simulation plus its fleet-side
-// wiring. All mutable fields are owned by the node's shard.
-type nodeState struct {
-	idx    int // physical node index; its shard is idx+1
-	eng    *simclock.Engine
-	core   *core.Engine
-	rt     runtimes.Runtime
-	tagged runtimes.Tagged
-	elast  runtimes.Elastic
+// host is one physical node plus its fleet placement. All mutable
+// fields are owned by the node's shard.
+type host struct {
+	*node
 	// replica is the replica id this node hosts (-1 for an idle spare).
 	// Rebinding a spare onto an evicted replica's id happens through a
 	// posted event on this node's shard.
 	replica int
 	// dead marks whole-node loss: completions are dropped and
 	// deliveries bounce as lost.
-	dead      bool
-	subs      []dispatchRec
-	submitErr error
+	dead bool
 }
 
 // Fleet is a runnable fleet simulation. It implements
 // serve.FleetRuntime; drive it with serve.RunFleet.
 type Fleet struct {
+	*substrate
 	cfg     Config
-	sh      *simclock.Sharded
-	front   *simclock.Engine
-	nodes   []*nodeState
-	latency simclock.Time
+	hosts   []*host
 	probe   time.Duration
 	rebuild time.Duration
 	hooks   serve.RouterHooks
@@ -138,9 +122,6 @@ type Fleet struct {
 // placement, and the fault arming. Call serve.RunFleet to serve a
 // trace on it; a Fleet is single-shot.
 func New(cfg Config) (*Fleet, error) {
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,29 +129,32 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("cluster: negative probe interval %v", cfg.Probe)
 	}
 	total := cfg.Cluster.TotalNodes()
+	var perNode []faults.Schedule
 	if cfg.Faults != nil {
 		if err := cfg.Faults.ValidateCluster(total, cfg.Cluster.Node.NumGPUs); err != nil {
 			return nil, err
 		}
+		perNode = cfg.Faults.SplitByNode(total)
 	}
-	plan := gpusim.PlanCluster(cfg.Cluster)
-	if !plan.Parallel() {
-		return nil, fmt.Errorf("cluster: network %q admits no lookahead window", cfg.Cluster.Network.Name)
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	sub, err := newSubstrate(cfg.Cluster, core.Options{
+		Node:         cfg.Cluster.Node,
+		Model:        cfg.Model,
+		Runtime:      cfg.Runtime,
+		Liger:        cfg.Liger,
+		LigerSet:     cfg.LigerSet,
+		IgnoreMemory: cfg.IgnoreMemory,
+	}, cfg.Workers, perNode)
+	if err != nil {
+		return nil, err
 	}
 	f := &Fleet{
+		substrate:   sub,
 		cfg:         cfg,
-		sh:          simclock.NewSharded(plan.Domains, plan.Lookahead, workers),
-		latency:     plan.Lookahead,
 		probe:       cfg.Probe,
 		replicaNode: make([]int, cfg.Cluster.Nodes),
 		nodeReplica: make([]int, total),
 		nodeDead:    make([]bool, total),
 	}
-	f.front = f.sh.Shard(0)
 	if f.probe == 0 {
 		f.probe = DefaultProbeFactor * time.Duration(f.latency)
 	}
@@ -180,40 +164,16 @@ func New(cfg Config) (*Fleet, error) {
 	f.rebuild = cfg.Cluster.Network.Transfer(cfg.Model.WeightBytes()) +
 		comm.RebuildCost(cfg.Cluster.Node.NumGPUs)
 
-	var perNode []faults.Schedule
-	if cfg.Faults != nil {
-		perNode = cfg.Faults.SplitByNode(total)
-	}
-	f.nodes = make([]*nodeState, total)
-	for i := 0; i < total; i++ {
-		opts := core.Options{
-			Node:         cfg.Cluster.Node,
-			Model:        cfg.Model,
-			Runtime:      cfg.Runtime,
-			Liger:        cfg.Liger,
-			LigerSet:     cfg.LigerSet,
-			IgnoreMemory: cfg.IgnoreMemory,
-			Clock:        f.sh.Shard(i + 1),
-		}
-		if perNode != nil && (len(perNode[i].Events) > 0 || perNode[i].CollTimeout > 0) {
-			sched := perNode[i]
-			opts.Faults = &sched
-		}
-		eng, err := core.NewEngine(opts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
-		}
-		n := &nodeState{idx: i, eng: f.sh.Shard(i + 1), core: eng, rt: eng.Runtime(), replica: -1}
-		n.tagged, _ = n.rt.(runtimes.Tagged)
-		n.elast, _ = n.rt.(runtimes.Elastic)
-		f.nodes[i] = n
+	for i, n := range sub.nodes {
+		h := &host{node: n, replica: -1}
+		f.hosts = append(f.hosts, h)
 		f.nodeReplica[i] = -1
-		f.wireNode(n)
+		f.wireHost(h)
 	}
 	for r := 0; r < cfg.Cluster.Nodes; r++ {
 		f.replicaNode[r] = r
 		f.nodeReplica[r] = r
-		f.nodes[r].replica = r
+		f.hosts[r].replica = r
 	}
 	for s := cfg.Cluster.Nodes; s < total; s++ {
 		f.spares = append(f.spares, s)
@@ -224,11 +184,11 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// wireNode connects one node's runtime events to the frontend: every
+// wireHost connects one node's runtime events to the frontend: every
 // notice crosses the shard boundary through a Post at +latency.
-func (f *Fleet) wireNode(n *nodeState) {
+func (f *Fleet) wireHost(n *host) {
 	shard := n.idx + 1
-	n.rt.SetOnDone(func(c runtimes.Completion) {
+	n.onDone(func(rec dispatchRec, c runtimes.Completion) {
 		if n.dead {
 			// The node died with this batch in flight: the work is lost
 			// and no notice escapes. The router re-dispatches the request
@@ -236,7 +196,6 @@ func (f *Fleet) wireNode(n *nodeState) {
 			// exactly once.
 			return
 		}
-		rec := n.subs[c.ID]
 		status := serve.DispatchOK
 		if c.Failed {
 			status = serve.DispatchFailed
@@ -275,7 +234,7 @@ func (f *Fleet) wireNode(n *nodeState) {
 // interval plus one network latency later.
 func (f *Fleet) armNodeFails(evs []faults.Event) {
 	for _, ev := range evs {
-		node := f.nodes[ev.Node]
+		node := f.hosts[ev.Node]
 		start := simclock.Time(ev.Start)
 		node.eng.At(start, func(simclock.Time) {
 			node.dead = true
@@ -319,7 +278,7 @@ func (f *Fleet) detectNodeLoss(idx int, failedAt, now simclock.Time) {
 	// contract holds), and bring the replica up in the router at the
 	// same instant on the frontend.
 	f.sh.Post(0, spare+1, upAt, func(simclock.Time) {
-		f.nodes[spare].replica = rep
+		f.hosts[spare].replica = rep
 	})
 	f.front.At(upAt, func(now simclock.Time) {
 		if f.nodeDead[spare] {
@@ -351,7 +310,7 @@ func (f *Fleet) Dispatch(rep, req int, w model.Workload) {
 	if idx < 0 {
 		panic(fmt.Sprintf("cluster: dispatch to evicted replica %d", rep))
 	}
-	node := f.nodes[idx]
+	node := f.hosts[idx]
 	at := f.front.Now() + f.latency
 	f.sh.Post(0, idx+1, at, func(now simclock.Time) {
 		f.deliver(node, rep, req, w, now)
@@ -361,7 +320,7 @@ func (f *Fleet) Dispatch(rep, req int, w model.Workload) {
 // deliver runs on the node's shard: hand the request to the replica
 // runtime, or bounce it back to the router when the node cannot take
 // it (dead, or mid-reconfiguration).
-func (f *Fleet) deliver(n *nodeState, rep, req int, w model.Workload, now simclock.Time) {
+func (f *Fleet) deliver(n *host, rep, req int, w model.Workload, now simclock.Time) {
 	shard := n.idx + 1
 	if n.dead {
 		f.sh.Post(shard, 0, now+f.latency, func(now simclock.Time) {
@@ -375,19 +334,9 @@ func (f *Fleet) deliver(n *nodeState, rep, req int, w model.Workload, now simclo
 		})
 		return
 	}
-	n.subs = append(n.subs, dispatchRec{req: req, rep: rep})
-	var err error
-	if n.tagged != nil {
-		err = n.tagged.SubmitReq(w, req)
-	} else {
-		err = n.rt.Submit(w)
-	}
-	if err != nil {
-		// Surface the first submit error from Run and bounce the request
-		// into the router's failure path so accounting stays closed.
-		if n.submitErr == nil {
-			n.submitErr = fmt.Errorf("cluster: node %d submit: %w", n.idx, err)
-		}
+	if err := n.submit(w, dispatchRec{req: req, rep: rep}); err != nil {
+		// Run surfaces the first submit error; bounce the request into
+		// the router's failure path so accounting stays closed.
 		f.sh.Post(shard, 0, now+f.latency, func(now simclock.Time) {
 			f.hooks.Done(rep, req, serve.DispatchFailed, now)
 		})
@@ -396,16 +345,7 @@ func (f *Fleet) deliver(n *nodeState, rep, req int, w model.Workload, now simclo
 
 // Run implements serve.FleetRuntime: execute the whole fleet to
 // completion and release the worker pool.
-func (f *Fleet) Run() error {
-	defer f.sh.Close()
-	f.sh.Run()
-	for _, n := range f.nodes {
-		if n.submitErr != nil {
-			return n.submitErr
-		}
-	}
-	return nil
-}
+func (f *Fleet) Run() error { return f.run() }
 
 // FleetStats implements serve.FleetRuntime: failovers count whole-node
 // evictions (re-placed or not) plus every intra-node device-failure

@@ -3,12 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"time"
 
 	"liger/internal/core"
 	"liger/internal/generate"
-	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/kvcache"
 	"liger/internal/liger"
@@ -29,11 +26,13 @@ import (
 // stall decode iterations, at the price of the transfer latency on
 // every handoff.
 //
-// Execution reuses the fleet topology: shard 0 is the frontend (arrival
-// process, routing, latency bookkeeping), shards 1..P the prefill
-// nodes, shards P+1..P+D the decode nodes. Every cross-shard
-// interaction is a Sharded.Post at +latency or more, so the simulation
-// is parallel across nodes and byte-identical at any worker count.
+// Execution runs on the fleet's node plumbing (substrate): shard 0 is
+// the frontend (arrival process, routing, latency bookkeeping), shards
+// 1..P the prefill nodes, shards P+1..P+D the decode nodes. Every
+// cross-shard interaction is a Sharded.Post at +latency or more, so the
+// simulation is parallel across nodes and byte-identical at any worker
+// count. Placement stays least-loaded per pool rather than the fleet
+// router's power-of-two sampling.
 
 // DisaggConfig configures a disaggregated prefill/decode run.
 type DisaggConfig struct {
@@ -89,26 +88,25 @@ func (c DisaggConfig) Validate() error {
 	case c.MaxPool <= 0:
 		return fmt.Errorf("cluster: disagg pool size %d", c.MaxPool)
 	}
-	if err := c.Node.Validate(); err != nil {
+	if err := c.topology().Validate(); err != nil {
 		return err
 	}
 	return c.Model.Validate()
 }
 
+// topology is the disaggregated cluster: both pools, no spares.
+func (c DisaggConfig) topology() hw.Cluster {
+	return hw.Cluster{Name: "disagg", Node: c.Node, Nodes: c.PrefillNodes + c.DecodeNodes, Network: c.Network}
+}
+
 // DisaggResult aggregates a disaggregated run. TTFT spans arrival to
 // the prefill-completion notice reaching the frontend; TPOT is decode
 // time per token from that notice (it absorbs the KV transfer — the
-// disaggregation tax).
+// disaggregation tax). The decode counters (Iterations, MeanPool,
+// PrefillBatches, Preemptions, RecomputedTokens) aggregate across the
+// decode pool.
 type DisaggResult struct {
-	generate.Result
-	// Makespan is the last sequence's completion instant.
-	Makespan time.Duration
-	// Iterations and MeanPool aggregate decode activity across nodes.
-	Iterations int
-	MeanPool   float64
-	// Preemptions/RecomputedTokens price decode-side memory pressure.
-	Preemptions      int
-	RecomputedTokens int
+	generate.ContinuousResult
 	// KVTransfers counts prefill→decode handoffs; KVTransferBytes the
 	// total cache bytes that crossed the network.
 	KVTransfers     int
@@ -118,36 +116,22 @@ type DisaggResult struct {
 	KVPeakBlocks int
 }
 
-// prefillNode is one prefill-pool node (shard idx+1).
-type prefillNode struct {
-	idx  int
-	eng  *simclock.Engine
-	rt   runtimes.Runtime
-	tag  runtimes.Tagged
-	subs []int // completion ID -> sequence id
-	err  error
-}
-
-// decodeNode is one decode-pool node (shard PrefillNodes+idx+1).
+// decodeNode is one decode-pool node: physical node PrefillNodes+pool.
 type decodeNode struct {
-	idx   int
-	shard int
-	eng   *simclock.Engine
-	kv    *kvcache.PagedManager
-	cb    *serve.ContinuousBatcher
+	*node
+	pool int
+	kv   *kvcache.PagedManager
+	cb   *serve.ContinuousBatcher
 	// rec is the node's shard-local serving recorder (nil untraced).
 	rec *trace.ServingRecorder
 }
 
-// Disagg is a runnable disaggregated simulation; single-shot.
+// Disagg is a runnable disaggregated simulation; single-shot. Prefill
+// node i is physical node i.
 type Disagg struct {
+	*substrate
 	cfg     DisaggConfig
-	sh      *simclock.Sharded
-	front   *simclock.Engine
-	latency simclock.Time
-
-	prefills []*prefillNode
-	decodes  []*decodeNode
+	decodes []*decodeNode
 
 	// frontRec is the frontend shard's serving recorder (nil untraced):
 	// system arrival / first-token / finish lifecycle instants plus the
@@ -157,84 +141,56 @@ type Disagg struct {
 	// Frontend-owned routing and bookkeeping.
 	prefillLoad []int
 	decodeLoad  []int
-	seqDecode   []int
-	arrived     []simclock.Time
-	firstTok    []simclock.Time
-	finished    []simclock.Time
-	completed   int
+	ledger      *generate.Ledger
 	transfers   int
 	kvBytes     int64
 }
 
 // NewDisagg validates the configuration and builds the two pools over
-// one sharded executor.
+// the fleet's node plumbing.
 func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	topo := hw.Cluster{
-		Name:    "disagg",
-		Node:    cfg.Node,
-		Nodes:   cfg.PrefillNodes + cfg.DecodeNodes,
-		Network: cfg.Network,
-	}
-	plan := gpusim.PlanCluster(topo)
-	if !plan.Parallel() {
-		return nil, fmt.Errorf("cluster: network %q admits no lookahead window", cfg.Network.Name)
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	sub, err := newSubstrate(cfg.topology(), core.Options{
+		Node:         cfg.Node,
+		Model:        cfg.Model,
+		Runtime:      cfg.Runtime,
+		Liger:        cfg.Liger,
+		LigerSet:     cfg.LigerSet,
+		IgnoreMemory: cfg.IgnoreMemory,
+	}, cfg.Workers, nil)
+	if err != nil {
+		return nil, err
 	}
 	d := &Disagg{
+		substrate:   sub,
 		cfg:         cfg,
-		sh:          simclock.NewSharded(plan.Domains, plan.Lookahead, workers),
-		latency:     plan.Lookahead,
 		prefillLoad: make([]int, cfg.PrefillNodes),
 		decodeLoad:  make([]int, cfg.DecodeNodes),
-		seqDecode:   make([]int, cfg.Sequences),
-		arrived:     make([]simclock.Time, cfg.Sequences),
-		firstTok:    make([]simclock.Time, cfg.Sequences),
-		finished:    make([]simclock.Time, cfg.Sequences),
+		ledger:      generate.NewLedger(cfg.Sequences),
 	}
-	d.front = d.sh.Shard(0)
 	if cfg.Trace {
 		d.frontRec = trace.NewServingRecorder()
 		d.frontRec.SetPool(-1)
 	}
-
-	newEngine := func(shard int) (*core.Engine, error) {
-		return core.NewEngine(core.Options{
-			Node:         cfg.Node,
-			Model:        cfg.Model,
-			Runtime:      cfg.Runtime,
-			Liger:        cfg.Liger,
-			LigerSet:     cfg.LigerSet,
-			IgnoreMemory: cfg.IgnoreMemory,
-			Clock:        d.sh.Shard(shard),
+	for _, p := range sub.nodes[:cfg.PrefillNodes] {
+		p.onDone(func(rec dispatchRec, c runtimes.Completion) {
+			d.sh.Post(p.idx+1, 0, c.Done+d.latency, func(now simclock.Time) {
+				d.prefillDone(rec.rep, rec.req, now)
+			})
 		})
 	}
-	for i := 0; i < cfg.PrefillNodes; i++ {
-		eng, err := newEngine(i + 1)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: prefill node %d: %w", i, err)
-		}
-		p := &prefillNode{idx: i, eng: d.sh.Shard(i + 1), rt: eng.Runtime()}
-		p.tag, _ = p.rt.(runtimes.Tagged)
-		d.prefills = append(d.prefills, p)
-		d.wirePrefill(p)
+	fail := func(pool int, err error) (*Disagg, error) {
+		sub.sh.Close()
+		return nil, fmt.Errorf("cluster: decode node %d: %w", pool, err)
 	}
-	for i := 0; i < cfg.DecodeNodes; i++ {
-		shard := cfg.PrefillNodes + i + 1
-		eng, err := newEngine(shard)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decode node %d: %w", i, err)
-		}
-		n := &decodeNode{idx: i, shard: shard, eng: d.sh.Shard(shard)}
+	for i, nd := range sub.nodes[cfg.PrefillNodes:] {
+		n := &decodeNode{node: nd, pool: i}
 		if !cfg.IgnoreMemory {
 			kv, err := kvcache.NewPaged(cfg.Node, cfg.Model, cfg.MaxPool, cfg.PromptLen+cfg.GenTokens, cfg.KV)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: decode node %d: %w", i, err)
+				return fail(i, err)
 			}
 			n.kv = kv
 		}
@@ -242,18 +198,17 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 		if n.kv != nil {
 			alloc = n.kv
 		}
-		nodeIdx := i
-		cb, err := serve.NewContinuousBatcher(eng.Runtime(), alloc, cfg.MaxPool, serve.ContinuousHooks{
+		cb, err := serve.NewContinuousBatcher(n.rt, alloc, cfg.MaxPool, serve.ContinuousHooks{
 			Finished: func(id int, now simclock.Time) {
-				d.sh.Post(shard, 0, now+d.latency, func(now simclock.Time) {
-					d.seqFinished(nodeIdx, id, now)
+				d.sh.Post(n.idx+1, 0, now+d.latency, func(now simclock.Time) {
+					d.seqFinished(n.pool, id, now)
 				})
 			},
 		})
 		if err != nil {
-			return nil, fmt.Errorf("cluster: decode node %d: %w", i, err)
+			return fail(i, err)
 		}
-		eng.Runtime().SetOnDone(cb.OnDone)
+		n.rt.SetOnDone(cb.OnDone)
 		n.cb = cb
 		if cfg.Trace {
 			n.rec = trace.NewServingRecorder()
@@ -269,26 +224,11 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 	return d, nil
 }
 
-// wirePrefill routes a prefill node's completions back to the frontend.
-func (d *Disagg) wirePrefill(p *prefillNode) {
-	shard := p.idx + 1
-	p.rt.SetOnDone(func(c runtimes.Completion) {
-		seq := p.subs[c.ID]
-		d.sh.Post(shard, 0, c.Done+d.latency, func(now simclock.Time) {
-			d.prefillDone(p.idx, seq, now)
-		})
-	})
-}
-
 // armArrivals schedules the Poisson arrival process on the frontend.
 func (d *Disagg) armArrivals() {
-	rng := rand.New(rand.NewSource(d.cfg.Seed))
-	gap := time.Duration(float64(time.Second) / d.cfg.RatePerSec)
-	var at simclock.Time
-	for i := 0; i < d.cfg.Sequences; i++ {
-		seq := i
+	for seq, at := range generate.PoissonArrivals(d.cfg.Sequences, d.cfg.RatePerSec, d.cfg.Seed) {
 		d.front.At(at, func(now simclock.Time) {
-			d.arrived[seq] = now
+			d.ledger.Arrive(seq, now)
 			if d.frontRec != nil {
 				d.frontRec.SeqEvent(serve.SeqEvent{
 					Pool: -1, Seq: seq, Kind: serve.SeqArrive, At: now, Tokens: d.cfg.PromptLen,
@@ -296,33 +236,31 @@ func (d *Disagg) armArrivals() {
 			}
 			d.routePrefill(seq, now)
 		})
-		at += time.Duration(rng.ExpFloat64() * float64(gap))
 	}
 }
 
-// routePrefill sends one sequence to the least-loaded prefill node
-// (lowest index on ties — deterministic).
-func (d *Disagg) routePrefill(seq int, now simclock.Time) {
+// leastLoaded picks the pool member with the fewest sequences, lowest
+// index on ties. Disagg keeps this placement rather than the fleet
+// router's power-of-two sampling: it is deterministic without a random
+// stream, and switching would move every pinned disaggregated number.
+func leastLoaded(load []int) int {
 	best := 0
-	for i := 1; i < len(d.prefillLoad); i++ {
-		if d.prefillLoad[i] < d.prefillLoad[best] {
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[best] {
 			best = i
 		}
 	}
-	d.prefillLoad[best]++
-	p := d.prefills[best]
+	load[best]++
+	return best
+}
+
+// routePrefill sends one sequence to the least-loaded prefill node.
+func (d *Disagg) routePrefill(seq int, now simclock.Time) {
+	best := leastLoaded(d.prefillLoad)
+	p := d.nodes[best]
 	w := model.Workload{Batch: 1, SeqLen: d.cfg.PromptLen, Phase: model.Context}
-	d.sh.Post(0, best+1, now+d.latency, func(simclock.Time) {
-		p.subs = append(p.subs, seq)
-		var err error
-		if p.tag != nil {
-			err = p.tag.SubmitReq(w, seq)
-		} else {
-			err = p.rt.Submit(w)
-		}
-		if err != nil && p.err == nil {
-			p.err = fmt.Errorf("cluster: prefill node %d submit: %w", p.idx, err)
-		}
+	d.sh.Post(0, p.idx+1, now+d.latency, func(simclock.Time) {
+		_ = p.submit(w, dispatchRec{req: seq, rep: best}) // Run surfaces the error
 	})
 }
 
@@ -331,15 +269,8 @@ func (d *Disagg) routePrefill(seq int, now simclock.Time) {
 // cache transfer over the inter-node network.
 func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
 	d.prefillLoad[pIdx]--
-	d.firstTok[seq] = now
-	best := 0
-	for i := 1; i < len(d.decodeLoad); i++ {
-		if d.decodeLoad[i] < d.decodeLoad[best] {
-			best = i
-		}
-	}
-	d.decodeLoad[best]++
-	d.seqDecode[seq] = best
+	d.ledger.FirstToken(seq, now)
+	best := leastLoaded(d.decodeLoad)
 	n := d.decodes[best]
 	bytes := d.cfg.Model.KVCacheBytes(d.cfg.PromptLen)
 	d.transfers++
@@ -358,7 +289,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
 			Seq: seq, Req: seq, From: pIdx, To: best, Bytes: bytes, Start: now, End: at,
 		})
 	}
-	d.sh.Post(0, n.shard, at, func(now simclock.Time) {
+	d.sh.Post(0, n.idx+1, at, func(now simclock.Time) {
 		n.cb.Add(serve.GenSeq{
 			ID:        seq,
 			Prompt:    d.cfg.PromptLen,
@@ -370,10 +301,9 @@ func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
 
 // seqFinished runs on the frontend when a decode node completes a
 // sequence.
-func (d *Disagg) seqFinished(nodeIdx, seq int, now simclock.Time) {
-	d.decodeLoad[nodeIdx]--
-	d.finished[seq] = now
-	d.completed++
+func (d *Disagg) seqFinished(pool, seq int, now simclock.Time) {
+	d.decodeLoad[pool]--
+	d.ledger.Finish(seq, now)
 	if d.frontRec != nil {
 		d.frontRec.SeqEvent(serve.SeqEvent{
 			Pool: -1, Seq: seq, Kind: serve.SeqFinish, At: now, Tokens: d.cfg.GenTokens,
@@ -382,49 +312,45 @@ func (d *Disagg) seqFinished(nodeIdx, seq int, now simclock.Time) {
 }
 
 // Run executes the simulation to completion and aggregates the result.
+// It also checks KV conservation on every decode node: the paged
+// allocator must report no accounting violation and hold no block once
+// every sequence has finished.
 func (d *Disagg) Run() (DisaggResult, error) {
-	res := DisaggResult{}
-	func() {
-		defer d.sh.Close()
-		d.sh.Run()
-	}()
-	for _, p := range d.prefills {
-		if p.err != nil {
-			return res, p.err
-		}
+	if err := d.run(); err != nil {
+		return DisaggResult{}, err
 	}
 	for _, n := range d.decodes {
 		if err := n.cb.Err(); err != nil {
-			return res, fmt.Errorf("cluster: decode node %d: %w", n.idx, err)
+			return DisaggResult{}, fmt.Errorf("cluster: decode node %d: %w", n.pool, err)
 		}
 	}
-	if d.completed != d.cfg.Sequences {
-		return res, fmt.Errorf("cluster: %d of %d sequences finished", d.completed, d.cfg.Sequences)
+	cres, err := d.ledger.Result(d.cfg.GenTokens)
+	if err != nil {
+		return DisaggResult{}, err
 	}
-	for i := 0; i < d.cfg.Sequences; i++ {
-		res.TTFT = append(res.TTFT, time.Duration(d.firstTok[i]-d.arrived[i]))
-		res.TPOT = append(res.TPOT, time.Duration(d.finished[i]-d.firstTok[i])/time.Duration(d.cfg.GenTokens))
-		res.Total = append(res.Total, time.Duration(d.finished[i]-d.arrived[i]))
-		if m := time.Duration(d.finished[i]); m > res.Makespan {
-			res.Makespan = m
-		}
-	}
-	res.Conversations = d.cfg.Sequences
+	res := DisaggResult{ContinuousResult: cres, KVTransfers: d.transfers, KVTransferBytes: d.kvBytes}
 	var poolSum float64
 	for _, n := range d.decodes {
 		res.Iterations += n.cb.Iterations
 		poolSum += float64(n.cb.PoolSum)
+		res.PrefillBatches += n.cb.PrefillBatches
 		res.Preemptions += n.cb.Preemptions
 		res.RecomputedTokens += n.cb.RecomputedTokens
-		if n.kv != nil && n.kv.PeakUsedBlocks() > res.KVPeakBlocks {
-			res.KVPeakBlocks = n.kv.PeakUsedBlocks()
+		if n.kv == nil {
+			continue
 		}
+		if err := n.kv.InvariantErr(); err != nil {
+			return res, fmt.Errorf("cluster: decode node %d: %w", n.pool, err)
+		}
+		if free, total := n.kv.FreeBlocks(), n.kv.TotalBlocks(); free != total {
+			return res, fmt.Errorf("cluster: decode node %d holds %d of %d KV blocks after every sequence finished",
+				n.pool, total-free, total)
+		}
+		res.KVPeakBlocks = max(res.KVPeakBlocks, n.kv.PeakUsedBlocks())
 	}
 	if res.Iterations > 0 {
 		res.MeanPool = poolSum / float64(res.Iterations)
 	}
-	res.KVTransfers = d.transfers
-	res.KVTransferBytes = d.kvBytes
 	return res, nil
 }
 

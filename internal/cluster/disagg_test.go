@@ -126,12 +126,41 @@ func TestDisaggRejectsBadConfigs(t *testing.T) {
 		func(c *DisaggConfig) { c.PromptLen = 0 },
 		func(c *DisaggConfig) { c.MaxPool = 0 },
 		func(c *DisaggConfig) { c.Model = model.Spec{} },
+		// A zero-bandwidth network admits no KV transfer: the handoff
+		// would be posted at a negative instant.
+		func(c *DisaggConfig) { c.Network.LinkBWGBs = 0 },
 	}
 	for i, mut := range bad {
 		cfg := disaggCfg(1)
 		mut(&cfg)
 		if _, err := NewDisagg(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// Every run checks KV conservation on the decode pool: an allocator
+// accounting violation, or a block still held once every sequence
+// finished, fails Run.
+func TestDisaggChecksKVConservation(t *testing.T) {
+	for name, corrupt := range map[string]func(*Disagg) error{
+		"leaked_block": func(d *Disagg) error { return d.decodes[0].kv.Admit(-1, 16) },
+		"violation": func(d *Disagg) error {
+			d.decodes[1].kv.Release(-1)
+			return nil
+		},
+	} {
+		d, err := NewDisagg(disaggCfg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := corrupt(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Run(); err == nil {
+			t.Errorf("%s: Run accepted a non-conserving decode node", name)
+		} else {
+			t.Logf("%s: %v", name, err)
 		}
 	}
 }

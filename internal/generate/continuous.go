@@ -3,7 +3,6 @@ package generate
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"liger/internal/runtimes"
@@ -17,8 +16,9 @@ import (
 // the current pool of live sequences, admitting newly arrived sequences
 // between iterations. Liger's interleaving composes with it — the
 // iteration kernels are scheduled like any other batch. The scheduling
-// loop itself lives in serve.ContinuousBatcher; this driver owns the
-// arrival process and the per-sequence latency bookkeeping.
+// loop itself lives in serve.ContinuousBatcher; the arrival schedule
+// (PoissonArrivals) and the per-sequence ledger (Ledger) are shared
+// with the disaggregated driver in internal/cluster.
 
 // ContinuousConfig shapes a continuous-batching run.
 type ContinuousConfig struct {
@@ -82,57 +82,36 @@ type ContinuousResult struct {
 // RunContinuous executes the workload on the runtime attached to eng.
 // It owns the runtime's completion callback for the duration.
 func RunContinuous(eng *simclock.Engine, rt runtimes.Runtime, cfg ContinuousConfig) (ContinuousResult, error) {
-	res := ContinuousResult{}
 	if err := cfg.Validate(); err != nil {
-		return res, err
+		return ContinuousResult{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	arrived := make([]simclock.Time, cfg.Sequences)
-	firstTok := make([]simclock.Time, cfg.Sequences)
-	finished := make([]simclock.Time, cfg.Sequences)
-	completed := 0
+	ledger := NewLedger(cfg.Sequences)
 	cb, err := serve.NewContinuousBatcher(rt, cfg.KV, cfg.MaxPool, serve.ContinuousHooks{
-		FirstToken: func(id int, now simclock.Time) { firstTok[id] = now },
-		Finished: func(id int, now simclock.Time) {
-			finished[id] = now
-			completed++
-		},
+		FirstToken: ledger.FirstToken,
+		Finished:   ledger.Finish,
 	})
 	if err != nil {
-		return res, err
+		return ContinuousResult{}, err
 	}
 	if cfg.Tracer != nil {
 		cb.SetTracer(cfg.Tracer, 0)
 	}
 	rt.SetOnDone(cb.OnDone)
 
-	var at simclock.Time
-	gap := time.Duration(float64(time.Second) / cfg.RatePerSec)
-	for i := 0; i < cfg.Sequences; i++ {
-		id := i
+	for id, at := range PoissonArrivals(cfg.Sequences, cfg.RatePerSec, cfg.Seed) {
 		eng.At(at, func(now simclock.Time) {
-			arrived[id] = now
+			ledger.Arrive(id, now)
 			cb.Add(serve.GenSeq{ID: id, Prompt: cfg.PromptLen, Gen: cfg.GenTokens}, now)
 		})
-		at += time.Duration(rng.ExpFloat64() * float64(gap))
 	}
 	eng.Run()
 	if err := cb.Err(); err != nil {
+		return ContinuousResult{}, err
+	}
+	res, err := ledger.Result(cfg.GenTokens)
+	if err != nil {
 		return res, err
 	}
-	if completed != cfg.Sequences {
-		return res, fmt.Errorf("generate: %d of %d sequences finished", completed, cfg.Sequences)
-	}
-	for i := 0; i < cfg.Sequences; i++ {
-		res.TTFT = append(res.TTFT, time.Duration(firstTok[i]-arrived[i]))
-		res.TPOT = append(res.TPOT, time.Duration(finished[i]-firstTok[i])/time.Duration(cfg.GenTokens))
-		res.Total = append(res.Total, time.Duration(finished[i]-arrived[i]))
-		if d := time.Duration(finished[i]); d > res.Makespan {
-			res.Makespan = d
-		}
-	}
-	res.Conversations = cfg.Sequences
 	res.Iterations = cb.Iterations
 	res.MeanPool = cb.MeanPool()
 	res.PrefillBatches = cb.PrefillBatches

@@ -9,6 +9,7 @@ package generate
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"liger/internal/kvcache"
@@ -75,12 +76,73 @@ func (r Result) AvgTPOT() time.Duration { return stats.Mean(r.TPOT) }
 // AvgTotal returns the mean end-to-end generation time.
 func (r Result) AvgTotal() time.Duration { return stats.Mean(r.Total) }
 
+// PoissonArrivals returns the arrival instants of n sequences under a
+// seeded Poisson process at ratePerSec, starting at zero: the schedule
+// RunContinuous and cluster.Disagg share.
+func PoissonArrivals(n int, ratePerSec float64, seed int64) []simclock.Time {
+	rng := rand.New(rand.NewSource(seed))
+	gap := time.Duration(float64(time.Second) / ratePerSec)
+	out := make([]simclock.Time, n)
+	var at simclock.Time
+	for i := range out {
+		out[i] = at
+		at += time.Duration(rng.ExpFloat64() * float64(gap))
+	}
+	return out
+}
+
+// Ledger records each sequence's arrival, first-token and finish
+// instants. It is the one definition of the generative metrics: TTFT is
+// arrival to first token, TPOT first token to finish per generated
+// token, Total arrival to finish.
+type Ledger struct {
+	arrived, firstTok, finished []simclock.Time
+	completed                   int
+}
+
+// NewLedger returns a ledger for sequences 0..n-1.
+func NewLedger(n int) *Ledger {
+	return &Ledger{
+		arrived:  make([]simclock.Time, n),
+		firstTok: make([]simclock.Time, n),
+		finished: make([]simclock.Time, n),
+	}
+}
+
+// Arrive stamps sequence id's arrival.
+func (l *Ledger) Arrive(id int, now simclock.Time) { l.arrived[id] = now }
+
+// FirstToken stamps sequence id's first token.
+func (l *Ledger) FirstToken(id int, now simclock.Time) { l.firstTok[id] = now }
+
+// Finish stamps sequence id's completion.
+func (l *Ledger) Finish(id int, now simclock.Time) {
+	l.finished[id] = now
+	l.completed++
+}
+
+// Result derives the per-sequence distributions and the makespan (the
+// last completion instant) for sequences of genTokens tokens each. It
+// fails unless every sequence finished.
+func (l *Ledger) Result(genTokens int) (ContinuousResult, error) {
+	res := ContinuousResult{}
+	n := len(l.arrived)
+	if l.completed != n {
+		return res, fmt.Errorf("generate: %d of %d sequences finished", l.completed, n)
+	}
+	for i := 0; i < n; i++ {
+		res.TTFT = append(res.TTFT, time.Duration(l.firstTok[i]-l.arrived[i]))
+		res.TPOT = append(res.TPOT, time.Duration(l.finished[i]-l.firstTok[i])/time.Duration(genTokens))
+		res.Total = append(res.Total, time.Duration(l.finished[i]-l.arrived[i]))
+		res.Makespan = max(res.Makespan, time.Duration(l.finished[i]))
+	}
+	res.Conversations = n
+	return res, nil
+}
+
 type conversation struct {
-	id       int
-	step     int
-	started  simclock.Time
-	firstTok simclock.Time
-	finished simclock.Time
+	id   int
+	step int
 }
 
 // Run executes the workload on the runtime attached to eng. It owns the
@@ -89,10 +151,10 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	res := Result{}
+	queued := 0
 	perConv := cfg.BatchSize * (cfg.PromptLen + cfg.GenTokens)
 
-	convs := map[int]*conversation{}
+	ledger := NewLedger(cfg.Conversations)
 	outstanding := map[int]*conversation{}
 	var admitQueue []*conversation
 	pendingID := 0
@@ -138,11 +200,11 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 		}
 		delete(outstanding, done.ID)
 		if c.step == 0 {
-			c.firstTok = done.Done
+			ledger.FirstToken(c.id, done.Done)
 		}
 		c.step++
 		if c.step > cfg.GenTokens {
-			c.finished = done.Done
+			ledger.Finish(c.id, done.Done)
 			if cfg.KV != nil {
 				cfg.KV.Release(c.id)
 			}
@@ -157,28 +219,19 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	for i := 0; i < cfg.Conversations; i++ {
 		i := i
 		eng.At(simclock.Time(i)*simclock.Time(cfg.ArrivalGap), func(now simclock.Time) {
-			c := &conversation{id: i, started: now}
-			convs[i] = c
+			ledger.Arrive(i, now)
+			c := &conversation{id: i}
 			if !admit(c) {
-				res.QueuedForKV++
+				queued++
 				admitQueue = append(admitQueue, c)
 			}
 		})
 	}
 	eng.Run()
 	if runErr != nil {
-		return res, runErr
+		return Result{QueuedForKV: queued}, runErr
 	}
-
-	for i := 0; i < cfg.Conversations; i++ {
-		c := convs[i]
-		if c == nil || c.finished == 0 {
-			return res, fmt.Errorf("generate: conversation %d never finished", i)
-		}
-		res.TTFT = append(res.TTFT, time.Duration(c.firstTok-c.started))
-		res.TPOT = append(res.TPOT, time.Duration(c.finished-c.firstTok)/time.Duration(cfg.GenTokens))
-		res.Total = append(res.Total, time.Duration(c.finished-c.started))
-	}
-	res.Conversations = cfg.Conversations
-	return res, nil
+	res, err := ledger.Result(cfg.GenTokens)
+	res.QueuedForKV = queued
+	return res.Result, err
 }

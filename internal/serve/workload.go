@@ -138,3 +138,51 @@ func Generate(c TraceConfig) ([]Arrival, error) {
 	}
 	return out, nil
 }
+
+// Pack is the batching frontend of the paper's workflow (Fig. 5) as a
+// trace transform: it groups a request-level trace — context-phase
+// arrivals in time order, typically Generate with BatchSize 1 — into
+// the batch trace Run serves. A batch closes at its maxBatch-th
+// arrival or once its oldest request has waited maxWait (a request
+// arriving at exactly that instant still joins), and is padded to its
+// longest sequence. batches[j].At is batch j's close instant and
+// batchOf[i] the batch request i joined, so request i's latency is
+// Result.PerRequest[batchOf[i]].Done - reqs[i].At.
+func Pack(reqs []Arrival, maxBatch int, maxWait time.Duration) (batches []Arrival, batchOf []int, err error) {
+	switch {
+	case maxBatch < 1:
+		return nil, nil, fmt.Errorf("serve: pack max batch %d", maxBatch)
+	case maxWait <= 0:
+		return nil, nil, fmt.Errorf("serve: pack max wait %v", maxWait)
+	case len(reqs) == 0:
+		return nil, nil, fmt.Errorf("serve: empty request trace")
+	}
+	for i, r := range reqs {
+		if r.Workload.Phase != model.Context {
+			return nil, nil, fmt.Errorf("serve: pack request %d is not a context-phase request", i)
+		}
+		if i > 0 && r.At < reqs[i-1].At {
+			return nil, nil, fmt.Errorf("serve: pack request %d arrives before request %d", i, i-1)
+		}
+	}
+	batchOf = make([]int, len(reqs))
+	for start := 0; start < len(reqs); {
+		closeAt := reqs[start].At + simclock.Time(maxWait)
+		end := start + 1
+		for end < len(reqs) && end-start < maxBatch && reqs[end].At <= closeAt {
+			end++
+		}
+		if end-start == maxBatch {
+			closeAt = reqs[end-1].At
+		}
+		w := model.Workload{Phase: model.Context}
+		for i := start; i < end; i++ {
+			w.Batch += reqs[i].Workload.Batch
+			w.SeqLen = max(w.SeqLen, reqs[i].Workload.SeqLen)
+			batchOf[i] = len(batches)
+		}
+		batches = append(batches, Arrival{At: closeAt, Workload: w})
+		start = end
+	}
+	return batches, batchOf, nil
+}

@@ -26,6 +26,8 @@
 //   - The scenario gate: every scenarios/*.yaml passes its assertions
 //     and the negative fixtures fail, since a gate that cannot reject
 //     is not a gate.
+//   - The examples gate: every examples/* program, built once, must
+//     exit 0 and print something.
 package main
 
 import (
@@ -110,6 +112,7 @@ func steps() []step {
 			floor:     11,
 			benchdiff: []string{"BENCH_serving.json", "BENCH_serving_analysis.json"},
 		}.check},
+		{"examples", examples},
 		{"scenario corpus", scenarioCorpus},
 		{"scenario fixtures", scenarioFixtures},
 		scenario("cascading-failures.yaml"),
@@ -319,6 +322,49 @@ func readArtifacts(dir string) (map[string][]byte, error) {
 		out[e.Name()] = buf
 	}
 	return out, nil
+}
+
+// examples builds every examples/* program into a scratch directory and
+// runs each binary there; go build compiles them, but only running them
+// catches an example broken by an API change.
+func examples() error {
+	tmp, err := os.MkdirTemp("", "ci-examples-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	if err := command("go", "build", "-o", tmp, "./examples/...")(); err != nil {
+		return err
+	}
+	dirs, err := filepath.Glob(filepath.Join("examples", "*"))
+	if err != nil {
+		return err
+	}
+	if len(dirs) == 0 {
+		return fmt.Errorf("no examples found")
+	}
+	for _, dir := range dirs {
+		name := filepath.Base(dir)
+		cmd := exec.Command(filepath.Join(tmp, name))
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err := checkExample(name, out, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkExample fails an example run that exited non-zero or printed
+// nothing to stdout.
+func checkExample(name string, stdout []byte, runErr error) error {
+	if runErr != nil {
+		return fmt.Errorf("example %s: %v", name, runErr)
+	}
+	if len(bytes.TrimSpace(stdout)) == 0 {
+		return fmt.Errorf("example %s printed nothing", name)
+	}
+	return nil
 }
 
 // scenarioCorpus runs every scenarios/*.yaml; each must pass its

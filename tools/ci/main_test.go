@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -86,5 +87,24 @@ func TestStripHostLines(t *testing.T) {
 	in := "table\n---- fleet done in 1.2s ----\n  traced: dev0@45% under Liger -> /tmp/a\nheadline\n"
 	if got, want := string(stripHostLines([]byte(in))), "table\nheadline\n"; got != want {
 		t.Fatalf("stripHostLines = %q, want %q", got, want)
+	}
+}
+
+// TestCheckExample checks that the examples gate can fail: a non-zero
+// exit or an empty stdout rejects the example.
+func TestCheckExample(t *testing.T) {
+	if err := checkExample("quickstart", []byte("table\n"), nil); err != nil {
+		t.Fatalf("good run rejected: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		out []byte
+		err error
+	}{
+		"non-zero exit": {[]byte("table\n"), errors.New("exit status 1")},
+		"empty stdout":  {[]byte(" \n"), nil},
+	} {
+		if err := checkExample("quickstart", tc.out, tc.err); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
