@@ -20,7 +20,7 @@ test:
 # fault-injection, deadline/retry, serving-telemetry, and observability
 # layers get a dedicated -race pass.
 race:
-	$(GO) test -race ./internal/runner ./internal/simclock ./internal/faults ./internal/serve ./internal/cluster ./internal/trace ./internal/metrics ./internal/analyze ./internal/kvcache ./internal/generate ./internal/gpusim ./internal/parallel ./internal/liger ./internal/runtimes
+	$(GO) test -race ./internal/runner ./internal/simclock ./internal/faults ./internal/serve ./internal/cluster ./internal/trace ./internal/metrics ./internal/analyze ./internal/kvcache ./internal/generate ./internal/gpusim ./internal/parallel ./internal/liger ./internal/runtimes ./internal/stats
 
 vet:
 	$(GO) vet ./...

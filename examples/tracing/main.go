@@ -12,6 +12,7 @@ import (
 	"os"
 	"time"
 
+	"liger/internal/analyze"
 	"liger/internal/core"
 	"liger/internal/hw"
 	"liger/internal/model"
@@ -52,8 +53,8 @@ func main() {
 	}
 
 	fmt.Printf("served %d batches, avg latency %v\n", res.Completed, res.AvgLatency)
-	for d := 0; d < node.NumGPUs; d++ {
-		fmt.Printf("gpu%d compute/comm overlap: %v\n", d, rec.OverlapTime(d))
+	for _, d := range analyze.Analyze(rec, analyze.Options{}).Overlap.Devices {
+		fmt.Printf("gpu%d compute/comm overlap: %v\n", d.Device, d.Hidden)
 	}
 
 	// ASCII view of the interleaving (the Fig. 6 picture): '#' compute,

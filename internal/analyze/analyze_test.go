@@ -244,6 +244,34 @@ func TestOverlapReport(t *testing.T) {
 	}
 }
 
+// Hidden is the per-device time during which a compute span and a comm
+// span overlap: 40µs for compute [0,100] under comm [40,80], none for
+// spans that only touch.
+func TestOverlapTime(t *testing.T) {
+	rec := trace.NewRecorder()
+	for i, sp := range []struct {
+		dev        int
+		class      gpusim.KernelClass
+		start, end int
+	}{
+		{0, gpusim.Compute, 0, 100}, {0, gpusim.Comm, 40, 80},
+		{1, gpusim.Compute, 0, 50}, {1, gpusim.Comm, 50, 90},
+	} {
+		rec.KernelSpan(gpusim.KernelSpan{ID: i, Device: sp.dev, Class: sp.class,
+			Start: us(sp.start), End: us(sp.end), Batch: -1, Req: -1, Coll: -1})
+	}
+	devs := analyze.Analyze(rec, analyze.Options{}).Overlap.Devices
+	if len(devs) != 2 {
+		t.Fatalf("%d devices in the overlap report, want 2", len(devs))
+	}
+	if devs[0].Hidden != us(40) {
+		t.Fatalf("device 0 overlap %v, want 40µs", devs[0].Hidden)
+	}
+	if devs[1].Hidden != 0 {
+		t.Fatalf("device 1 overlap %v, want 0", devs[1].Hidden)
+	}
+}
+
 // Failover traces: truncated spans and aborted collectives attribute
 // to the recovery window and failed device, never panic, and the
 // tiling invariant still holds.

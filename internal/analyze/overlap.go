@@ -22,9 +22,11 @@ type DeviceOverlap struct {
 	Stall   simclock.Time // union of rendezvous wait time (§2.3.1 launch lag)
 }
 
-// OverlapReport generalizes Recorder.OverlapTime: per device and in
-// total, how much communication ran hidden under computation versus
-// exposed on the critical timeline. ExposedShare = Exposed / Comm is
+// OverlapReport measures, per device and in total, how much
+// communication ran hidden under computation (Hidden: the time during
+// which compute and comm spans overlap on one device — the direct
+// measure of the interleaving Liger creates) versus exposed on the
+// critical timeline. ExposedShare = Exposed / Comm is
 // the ranking metric of the runtime comparison — Liger's interleaving
 // exists to push it down (Fig. 9/10).
 type OverlapReport struct {

@@ -285,7 +285,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
 		d.frontRec.SeqEvent(serve.SeqEvent{
 			Pool: -1, Seq: seq, Kind: serve.SeqPrefillEnd, At: now, Tokens: d.cfg.PromptLen,
 		})
-		d.frontRec.KVHandoff(serve.KVHandoff{
+		d.frontRec.KVHandoff(trace.KVHandoff{
 			Seq: seq, Req: seq, From: pIdx, To: best, Bytes: bytes, Start: now, End: at,
 		})
 	}

@@ -3,11 +3,9 @@ package core
 import (
 	"testing"
 
-	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/model"
 	"liger/internal/parallel"
-	"liger/internal/simclock"
 	"liger/internal/trace"
 )
 
@@ -88,13 +86,8 @@ func TestWorkspaceReturnedAfterServing(t *testing.T) {
 	}
 }
 
-type nopTracer struct{}
-
-func (nopTracer) KernelStart(int, string, gpusim.KernelClass, simclock.Time)              {}
-func (nopTracer) KernelEnd(int, string, gpusim.KernelClass, simclock.Time, simclock.Time) {}
-
 func TestStragglerThroughCoreAPI(t *testing.T) {
-	eng, err := NewEngine(Options{Node: hw.A100Node(), Model: model.OPT30B().WithLayers(4), Runtime: KindIntraOp, Tracer: nopTracer{}})
+	eng, err := NewEngine(Options{Node: hw.A100Node(), Model: model.OPT30B().WithLayers(4), Runtime: KindIntraOp, Tracer: trace.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}

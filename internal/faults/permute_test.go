@@ -8,30 +8,16 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
-	"liger/internal/simclock"
+	"liger/internal/trace"
 )
-
-// timelineTracer records every kernel lifecycle edge into a canonical
-// byte string — the full observable simulation timeline.
-type timelineTracer struct {
-	b strings.Builder
-}
-
-func (t *timelineTracer) KernelStart(dev int, name string, class gpusim.KernelClass, start simclock.Time) {
-	fmt.Fprintf(&t.b, "S %d %s %d %d\n", dev, name, class, start)
-}
-
-func (t *timelineTracer) KernelEnd(dev int, name string, class gpusim.KernelClass, start, end simclock.Time) {
-	fmt.Fprintf(&t.b, "E %d %s %d %d %d\n", dev, name, class, start, end)
-}
 
 // permutationWorkload runs a fixed kernel load under the schedule and
 // returns the traced timeline.
 func permutationTimeline(t *testing.T, s Schedule) string {
 	t.Helper()
 	eng, n := testNode(t, 4)
-	tr := &timelineTracer{}
-	n.SetTracer(tr)
+	rec := trace.NewRecorder()
+	n.SetTracer(rec)
 	if err := Inject(n, s); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +38,13 @@ func permutationTimeline(t *testing.T, s Schedule) string {
 		})
 	}
 	eng.Run()
-	return tr.b.String()
+	// Every span in completion order, with its start and end: the full
+	// observable simulation timeline as a canonical byte string.
+	var b strings.Builder
+	for _, sp := range rec.Spans() {
+		fmt.Fprintf(&b, "%+v\n", sp)
+	}
+	return b.String()
 }
 
 // TestInjectIsPermutationInvariant is the determinism property the

@@ -99,8 +99,8 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 	if len(c.members) > c.size {
 		panic("gpusim: too many members joined collective")
 	}
-	if ct := c.node.collTracer; ct != nil {
-		ct.RendezvousBegin(c.id, k.stream.dev.id, k.spec.Batch, k.spec.Req, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.RendezvousBegin(c.id, k.stream.dev.id, k.spec.Batch, k.spec.Req, now)
 	}
 	if len(c.members) == 1 && c.timeout > 0 {
 		c.node.evCounts.Collective++
@@ -121,12 +121,9 @@ func (c *Collective) start(now simclock.Time) {
 			c.remainingNS = w
 		}
 		m.startedAt = now
-		if tr := c.node.tracer; tr != nil {
-			tr.KernelStart(m.stream.dev.id, m.spec.Name, m.spec.Class, now)
-		}
 	}
-	if ct := c.node.collTracer; ct != nil {
-		ct.TransferStart(c.id, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.TransferStart(c.id, now)
 	}
 	c.refreshRate(now)
 }
@@ -175,8 +172,8 @@ func (c *Collective) finish(now simclock.Time) {
 		m.stream.dev.finish(m, now)
 	}
 	c.releaseMembers()
-	if ct := c.node.collTracer; ct != nil {
-		ct.CollectiveFinish(c.id, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.CollectiveFinish(c.id, now)
 	}
 }
 
@@ -207,8 +204,8 @@ func (c *Collective) abort(now simclock.Time) {
 		m.stream.dev.finish(m, now)
 	}
 	c.releaseMembers()
-	if ct := c.node.collTracer; ct != nil {
-		ct.CollectiveAbort(c.id, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.CollectiveAbort(c.id, now)
 	}
 	for _, fn := range c.onAbort {
 		fn(now)

@@ -8,19 +8,7 @@ import (
 	"liger/internal/simclock"
 )
 
-// depRecorder is a minimal Tracer + DepTracer + SpanTracer capturing
-// the causal launch records and spans for assertions.
-type depRecorder struct {
-	deps  []KernelDep
-	spans []KernelSpan
-}
-
-func (r *depRecorder) KernelStart(int, string, KernelClass, simclock.Time)              {}
-func (r *depRecorder) KernelEnd(int, string, KernelClass, simclock.Time, simclock.Time) {}
-func (r *depRecorder) KernelSpan(sp KernelSpan)                                         { r.spans = append(r.spans, sp) }
-func (r *depRecorder) KernelDep(dep KernelDep)                                          { r.deps = append(r.deps, dep) }
-
-func depNode(t *testing.T, gpus int) (*simclock.Engine, *Node, *depRecorder) {
+func depNode(t *testing.T, gpus int) (*simclock.Engine, *Node, *testTracer) {
 	t.Helper()
 	spec := hw.V100Node()
 	spec.NumGPUs = gpus
@@ -29,12 +17,12 @@ func depNode(t *testing.T, gpus int) (*simclock.Engine, *Node, *depRecorder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &depRecorder{}
+	rec := &testTracer{}
 	n.SetTracer(rec)
 	return eng, n, rec
 }
 
-func (r *depRecorder) depByID(id int) (KernelDep, bool) {
+func (r *testTracer) depByID(id int) (KernelDep, bool) {
 	for _, d := range r.deps {
 		if d.ID == id {
 			return d, true
@@ -207,7 +195,7 @@ func TestDepNoneForUnadmittedCancel(t *testing.T) {
 	}
 }
 
-func nameOf(rec *depRecorder, id int) string {
+func nameOf(rec *testTracer, id int) string {
 	for _, sp := range rec.spans {
 		if sp.ID == id {
 			return sp.Name

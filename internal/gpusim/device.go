@@ -19,7 +19,7 @@ type connection struct {
 	lastDelivery simclock.Time
 	// lastKernel is the id of the last kernel command delivered on this
 	// connection (-1 if none): the launch-queue serialization edge
-	// reported to DepTracer.
+	// reported to the tracer.
 	lastKernel int
 }
 
@@ -80,7 +80,7 @@ type Device struct {
 	failed bool
 
 	// queueDepth counts commands issued to this device's streams and not
-	// yet retired — the launch-queue backlog sampled to QueueTracer.
+	// yet retired — the launch-queue backlog sampled to the tracer.
 	queueDepth int
 
 	// lastFreed is the id of the last kernel to finish on this device:
@@ -119,8 +119,8 @@ func (d *Device) SetSpeed(f float64) {
 	}
 	d.speed = f
 	now := d.node.eng.Now()
-	if ft := d.node.faultTracer; ft != nil {
-		ft.RateChange(d.id, d.speed, d.linkFactor, now)
+	if tr := d.node.tracer; tr != nil {
+		tr.RateChange(d.id, d.speed, d.linkFactor, now)
 	}
 	d.recompute(now)
 }
@@ -142,8 +142,8 @@ func (d *Device) SetLinkFactor(f float64) {
 	}
 	d.linkFactor = f
 	now := d.node.eng.Now()
-	if ft := d.node.faultTracer; ft != nil {
-		ft.RateChange(d.id, d.speed, d.linkFactor, now)
+	if tr := d.node.tracer; tr != nil {
+		tr.RateChange(d.id, d.speed, d.linkFactor, now)
 	}
 	d.recompute(now)
 }
@@ -245,21 +245,18 @@ func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool 
 		k.spec.Coll.join(k, now)
 	} else {
 		k.startedAt = now
-		if tr := d.node.tracer; tr != nil {
-			tr.KernelStart(d.id, k.spec.Name, k.spec.Class, now)
-		}
 	}
 	d.recompute(now)
 	return true
 }
 
 // emitDep reports the admitted kernel's causal launch record to the
-// DepTracer. A kernel admitted later than its first head attempt sat
+// tracer. A kernel admitted later than its first head attempt sat
 // blocked on SM capacity; the last finish on the device is what freed
 // it.
 func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
-	dt := d.node.depTracer
-	if dt == nil {
+	tr := d.node.tracer
+	if tr == nil {
 		return
 	}
 	if !k.headStamped {
@@ -274,7 +271,7 @@ func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 	if k.spec.Coll != nil {
 		coll = k.spec.Coll.id
 	}
-	dt.KernelDep(KernelDep{
+	tr.KernelDep(KernelDep{
 		ID: k.id, Device: d.id, Stream: k.stream.id, Coll: coll,
 		Issued: k.issuedAt, Delivered: k.deliveredAt,
 		Serialized: k.serialized, ConnPred: k.connPred,
@@ -377,27 +374,23 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	}
 }
 
-// emitSpan reports a finishing kernel to the tracer: SpanTracer
-// implementations get the full span (metadata plus the truncation
-// flag); plain tracers get the legacy KernelEnd callback.
+// emitSpan reports a finishing kernel's full span (metadata plus the
+// truncation flag) to the tracer.
 func (d *Device) emitSpan(k *kernelInstance, end simclock.Time) {
-	if d.node.tracer == nil {
+	tr := d.node.tracer
+	if tr == nil {
 		return
 	}
-	if st := d.node.spanTracer; st != nil {
-		coll := -1
-		if k.spec.Coll != nil {
-			coll = k.spec.Coll.id
-		}
-		st.KernelSpan(KernelSpan{
-			ID: k.id, Device: d.id, Name: k.spec.Name, Class: k.spec.Class,
-			Start: k.startedAt, End: end,
-			Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
-			Cancelled: k.cancelled,
-		})
-		return
+	coll := -1
+	if k.spec.Coll != nil {
+		coll = k.spec.Coll.id
 	}
-	d.node.tracer.KernelEnd(d.id, k.spec.Name, k.spec.Class, k.startedAt, end)
+	tr.KernelSpan(KernelSpan{
+		ID: k.id, Device: d.id, Name: k.spec.Name, Class: k.spec.Class,
+		Start: k.startedAt, End: end,
+		Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
+		Cancelled: k.cancelled,
+	})
 }
 
 // drainFailed tears down a freshly failed device's resident work.

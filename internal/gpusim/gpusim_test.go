@@ -395,20 +395,9 @@ func TestNegativeDurationPanics(t *testing.T) {
 	s.Launch(KernelSpec{Duration: -time.Microsecond})
 }
 
-type recordingTracer struct {
-	starts, ends int
-	lastEnd      simclock.Time
-}
-
-func (r *recordingTracer) KernelStart(int, string, KernelClass, simclock.Time) { r.starts++ }
-func (r *recordingTracer) KernelEnd(_ int, _ string, _ KernelClass, _ simclock.Time, end simclock.Time) {
-	r.ends++
-	r.lastEnd = end
-}
-
 func TestTracerSeesAllKernels(t *testing.T) {
 	eng, n := testNode(t, 2)
-	tr := &recordingTracer{}
+	tr := &testTracer{}
 	n.SetTracer(tr)
 	coll := n.NewCollective(2)
 	for d := 0; d < 2; d++ {
@@ -418,8 +407,17 @@ func TestTracerSeesAllKernels(t *testing.T) {
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll})
 	}
 	eng.Run()
-	if tr.starts != 4 || tr.ends != 4 {
-		t.Fatalf("tracer saw %d starts / %d ends, want 4/4", tr.starts, tr.ends)
+	// Every kernel reports one span that started and then ended, local
+	// kernels and collective members alike.
+	if len(tr.spans) != 4 {
+		t.Fatalf("tracer saw %d spans, want 4", len(tr.spans))
+	}
+	ids := map[int]bool{}
+	for _, sp := range tr.spans {
+		if sp.Start <= 0 || sp.End <= sp.Start || ids[sp.ID] {
+			t.Fatalf("span %+v: want a started, ended, unique kernel", sp)
+		}
+		ids[sp.ID] = true
 	}
 }
 

@@ -16,12 +16,6 @@ import (
 // released. A stale field or an instance released while still
 // referenced shows up as a missing, duplicated or different span.
 
-type spanRecorder struct{ spans []KernelSpan }
-
-func (r *spanRecorder) KernelStart(int, string, KernelClass, simclock.Time)              {}
-func (r *spanRecorder) KernelEnd(int, string, KernelClass, simclock.Time, simclock.Time) {}
-func (r *spanRecorder) KernelSpan(sp KernelSpan)                                         { r.spans = append(r.spans, sp) }
-
 // launchFunc launches spec on s and counts the launch.
 type launchFunc func(s *Stream, spec KernelSpec)
 
@@ -34,7 +28,7 @@ func checkPooledRuns(t *testing.T, gpus int, scenario func(eng *simclock.Engine,
 	var runs [2][]KernelSpan
 	for i := range runs {
 		eng, n := testNode(t, gpus)
-		rec := &spanRecorder{}
+		rec := &testTracer{}
 		n.SetTracer(rec)
 		launches, done := 0, 0
 		scenario(eng, n, func(s *Stream, spec KernelSpec) {

@@ -106,7 +106,7 @@ type Stream struct {
 	lastDone int
 	// advCause/advPred carry the reason the current advance pass runs
 	// (delivery, predecessor finish, event fire) so a kernel's first
-	// admission attempt can stamp its head cause for DepTracer.
+	// admission attempt can stamp its head cause for the tracer.
 	advCause string
 	advPred  int
 }
@@ -147,8 +147,8 @@ func (s *Stream) issue(cmd *command) {
 	}
 	s.queue = append(s.queue, cmd)
 	s.dev.queueDepth++
-	if qt := s.node.queueTracer; qt != nil {
-		qt.QueueDepth(s.dev.id, s.dev.queueDepth, now)
+	if tr := s.node.tracer; tr != nil {
+		tr.QueueDepth(s.dev.id, s.dev.queueDepth, now)
 	}
 	s.node.evCounts.Stream++
 	s.node.eng.At(cmd.deliveredAt, cmd.deliverFn)
@@ -166,15 +166,15 @@ func (s *Stream) Launch(spec KernelSpec) {
 	k.connPred, k.headPred, k.admitPred = s.conn.lastKernel, -1, -1
 	s.node.nextKernelID++
 	if c := spec.Coll; c != nil {
-		if ct := s.node.collTracer; ct != nil {
-			ct.CollectiveEnqueue(c.id, c.size, s.dev.id, s.node.eng.Now())
+		if tr := s.node.tracer; tr != nil {
+			tr.CollectiveEnqueue(c.id, c.size, s.dev.id, s.node.eng.Now())
 		}
 	}
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdKernel
 	cmd.kernel = k
 	s.issue(cmd)
-	// Dependency bookkeeping for DepTracer: the issue instant, the part
+	// Dependency bookkeeping for the tracer: the issue instant, the part
 	// of the delivery delay the connection's issue gap added on top of
 	// the base launch latency, and the serialization predecessor.
 	k.issuedAt = s.node.eng.Now()
@@ -231,8 +231,8 @@ func (s *Stream) pop() {
 		s.qhead = 0
 	}
 	s.dev.queueDepth--
-	if qt := s.node.queueTracer; qt != nil {
-		qt.QueueDepth(s.dev.id, s.dev.queueDepth, s.node.eng.Now())
+	if tr := s.node.tracer; tr != nil {
+		tr.QueueDepth(s.dev.id, s.dev.queueDepth, s.node.eng.Now())
 	}
 	s.node.recycleCommand(cmd)
 }

@@ -2,6 +2,7 @@ package liger
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"liger/internal/model"
 	"liger/internal/parallel"
 	"liger/internal/simclock"
+	"liger/internal/trace"
 )
 
 // randomBatch builds a batch with a random but well-formed kernel
@@ -90,55 +92,33 @@ func TestFuzzDeterminism(t *testing.T) {
 
 // TestFuzzNoSameClassConcurrency: by construction, two kernels of the
 // same class never run concurrently on one device (compute and comm
-// each own one in-order stream). Verify through a tracer.
+// each own one in-order stream). Verify from the recorded spans.
 func TestFuzzNoSameClassConcurrency(t *testing.T) {
-	type open struct{ comp, comm int }
-	var counts [4]open
-	bad := false
-	tr := classTracer{
-		start: func(dev int, class gpusim.KernelClass) {
-			if class == gpusim.Comm {
-				counts[dev].comm++
-				if counts[dev].comm > 1 {
-					bad = true
-				}
-			} else {
-				counts[dev].comp++
-				if counts[dev].comp > 1 {
-					bad = true
-				}
-			}
-		},
-		end: func(dev int, class gpusim.KernelClass) {
-			if class == gpusim.Comm {
-				counts[dev].comm--
-			} else {
-				counts[dev].comp--
-			}
-		},
-	}
+	rec := trace.NewRecorder()
 	rng := rand.New(rand.NewSource(99))
 	eng, node, s := testRig(t, testCfg())
-	node.SetTracer(tr)
+	node.SetTracer(rec)
 	for i := 0; i < 10; i++ {
 		b := randomBatch(rng, i)
 		at := simclock.Time(rng.Intn(2000)) * simclock.Time(time.Microsecond)
 		eng.At(at, func(simclock.Time) { s.Submit(b) })
 	}
 	eng.Run()
-	if bad {
-		t.Fatal("two kernels of the same class ran concurrently on one device")
+	type lane struct {
+		dev   int
+		class gpusim.KernelClass
 	}
-}
-
-type classTracer struct {
-	start func(dev int, class gpusim.KernelClass)
-	end   func(dev int, class gpusim.KernelClass)
-}
-
-func (c classTracer) KernelStart(dev int, _ string, class gpusim.KernelClass, _ simclock.Time) {
-	c.start(dev, class)
-}
-func (c classTracer) KernelEnd(dev int, _ string, class gpusim.KernelClass, _, _ simclock.Time) {
-	c.end(dev, class)
+	byLane := map[lane][]trace.Span{}
+	for _, sp := range rec.Spans() {
+		l := lane{sp.Device, sp.Class}
+		byLane[l] = append(byLane[l], sp)
+	}
+	for l, spans := range byLane {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].Start < spans[i-1].End {
+				t.Fatalf("device %d: %v kernels %+v and %+v ran concurrently", l.dev, l.class, spans[i-1], spans[i])
+			}
+		}
+	}
 }

@@ -2,11 +2,11 @@ package serve
 
 import "liger/internal/trace"
 
-// Serving-layer tracing mirrors gpusim's tracer-extension pattern: a
-// small base interface plus optional extensions discovered by type
-// assertion, so emitters stay decoupled from the recorder and a tracer
-// only pays for the record kinds it wants. trace.ServingRecorder
-// implements every extension; a nil tracer costs one branch per event.
+// Serving-layer tracing: the continuous batcher reports iterations and
+// sequence lifecycles through ServingTracer, and the fleet router
+// reports routing outcomes through RouterTracer. trace.ServingRecorder
+// implements both (and kvcache.Tracer); a nil tracer costs one branch
+// per event.
 //
 // The record types live in the trace package (which must sit below
 // serve in the import graph); these aliases keep serve's tracer API
@@ -37,30 +37,17 @@ type SeqEvent = trace.SeqEvent
 // trace.RouterDecision).
 type RouterDecision = trace.RouterDecision
 
-// KVHandoff is one prefill→decode cache transfer of a disaggregated
-// cluster (see trace.KVHandoff).
-type KVHandoff = trace.KVHandoff
-
-// ServingTracer observes continuous-batcher iterations. Implementations
-// may also implement SeqTracer, RouterTracer, and HandoffTracer (and
-// kvcache.Tracer) to receive the other serving record kinds.
+// ServingTracer observes the continuous batcher: one IterationRecord
+// per scheduler submission and one SeqEvent per sequence lifecycle
+// instant.
 type ServingTracer interface {
 	Iteration(IterationRecord)
-}
-
-// SeqTracer is the optional per-sequence lifecycle extension.
-type SeqTracer interface {
 	SeqEvent(SeqEvent)
 }
 
-// RouterTracer is the optional fleet-router extension.
+// RouterTracer observes the fleet router's routing outcomes.
 type RouterTracer interface {
 	RouterDecision(RouterDecision)
-}
-
-// HandoffTracer is the optional disaggregation KV-transfer extension.
-type HandoffTracer interface {
-	KVHandoff(KVHandoff)
 }
 
 // BlockStats is the optional allocator view the batcher samples for

@@ -173,8 +173,8 @@ func TestFaultRatesAndQueueDepth(t *testing.T) {
 func TestChromeTraceStableOrder(t *testing.T) {
 	rec := NewRecorder()
 	for dev := 3; dev >= 0; dev-- {
-		rec.KernelEnd(dev, "z", gpusim.Compute, us(10), us(20))
-		rec.KernelEnd(dev, "a", gpusim.Compute, us(10), us(20))
+		addSpan(rec, dev, "z", gpusim.Compute, us(10), us(20))
+		addSpan(rec, dev, "a", gpusim.Compute, us(10), us(20))
 	}
 	var first, second bytes.Buffer
 	if err := rec.WriteChromeTrace(&first); err != nil {
@@ -288,8 +288,8 @@ func TestReqBreakdown(t *testing.T) {
 	}
 }
 
-// The recorder captures DepTracer records and joins them to spans via
-// the kernel id; the KernelEnd fallback path carries id -1.
+// The recorder captures dep records and joins them to spans via the
+// kernel id.
 func TestRecorderCapturesDeps(t *testing.T) {
 	eng, n, rec := obsNode(t, 1)
 	s := n.NewStream(0)
@@ -318,14 +318,5 @@ func TestRecorderCapturesDeps(t *testing.T) {
 	}
 	if deps[1].HeadCause != gpusim.CauseStream || deps[1].HeadPred != deps[0].ID {
 		t.Fatalf("second kernel should be stream-ordered behind the first: %+v", deps[1])
-	}
-
-	rec.Reset()
-	if len(rec.Deps()) != 0 {
-		t.Fatal("Reset did not clear deps")
-	}
-	rec.KernelEnd(0, "legacy", gpusim.Compute, 0, us(10))
-	if sp := rec.Spans()[0]; sp.ID != -1 {
-		t.Fatalf("KernelEnd path should carry id -1: %+v", sp)
 	}
 }

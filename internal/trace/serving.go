@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
@@ -12,8 +11,9 @@ import (
 // ServingRecorder collects the serving-layer record streams — batcher
 // iterations, sequence lifecycles, paged-KV block transitions, router
 // decisions, and disaggregation KV handoffs — and renders them as
-// Chrome-trace lanes beside the device trace. It implements every
-// serve tracer extension plus kvcache.Tracer, so one recorder wires
+// Chrome-trace lanes beside the device trace. It implements
+// serve.ServingTracer, serve.RouterTracer and kvcache.Tracer, and
+// cluster.Disagg calls KVHandoff on it directly, so one recorder wires
 // the whole stack:
 //
 //	rec := trace.NewServingRecorder()
@@ -57,7 +57,7 @@ func (r *ServingRecorder) Iteration(rec IterationRecord) {
 	r.iterations = append(r.iterations, rec)
 }
 
-// SeqEvent implements serve.SeqTracer.
+// SeqEvent implements serve.ServingTracer.
 func (r *ServingRecorder) SeqEvent(e SeqEvent) {
 	r.seqEvents = append(r.seqEvents, e)
 }
@@ -67,7 +67,7 @@ func (r *ServingRecorder) RouterDecision(d RouterDecision) {
 	r.decisions = append(r.decisions, d)
 }
 
-// KVHandoff implements serve.HandoffTracer.
+// KVHandoff records one disaggregation KV transfer.
 func (r *ServingRecorder) KVHandoff(h KVHandoff) {
 	r.handoffs = append(r.handoffs, h)
 }
@@ -256,21 +256,7 @@ func (r *ServingRecorder) WriteChromeTrace(w io.Writer) error {
 		)
 	}
 	events = append(events, r.servingMetadata()...)
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		return a.Name < b.Name
-	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return writeChrome(w, events)
 }
 
 // servingMetadata names the pool/router/handoff processes and their

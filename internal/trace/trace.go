@@ -15,25 +15,13 @@ import (
 	"liger/internal/simclock"
 )
 
-// Span is one recorded kernel execution. Batch, Req and Coll are -1
-// when the launch carried no scheduling metadata (raw KernelEnd
-// callers, local kernels). Cancelled is non-empty when the kernel was
-// truncated by a teardown instead of completing (see
-// gpusim.CancelDeviceFail / gpusim.CancelCollectiveAbort).
-type Span struct {
-	// ID is the node-unique kernel id joining this span against its Dep
-	// record (-1 on the metadata-free KernelEnd path).
-	ID        int
-	Device    int
-	Name      string
-	Class     gpusim.KernelClass
-	Start     simclock.Time
-	End       simclock.Time
-	Batch     int
-	Req       int
-	Coll      int
-	Cancelled string
-}
+// Span is one recorded kernel execution: the node's gpusim.KernelSpan,
+// stored as emitted. Batch, Req and Coll are -1 when the launch carried
+// no scheduling metadata (local kernels, untagged requests). Cancelled
+// is non-empty when the kernel was truncated by a teardown instead of
+// completing (see gpusim.CancelDeviceFail /
+// gpusim.CancelCollectiveAbort).
+type Span = gpusim.KernelSpan
 
 // WaitSpan is one device's rendezvous wait inside a collective: from
 // the member's admission (it holds SMs while spinning on its peers) to
@@ -70,29 +58,16 @@ type RecoveryWindow struct {
 	End   simclock.Time
 }
 
-// Dep is the recorded causal launch history of one kernel, mirroring
-// gpusim.KernelDep: when the host issued it, when the launch queue
-// delivered it (Serialized > 0 when the connection's issue gap pushed
-// it behind ConnPred), when and why it reached the head of its stream
-// (HeadCause is one of gpusim.CauseDelivery/CauseStream/CauseEvent,
-// HeadPred the enabling kernel id), and when the device admitted it
-// (AdmitPred names the kernel whose finish freed the SMs when
-// Admitted > HeadAt). Kernels cancelled before admission have no Dep.
-type Dep struct {
-	ID         int
-	Device     int
-	Stream     int
-	Coll       int
-	Issued     simclock.Time
-	Delivered  simclock.Time
-	Serialized simclock.Time
-	ConnPred   int
-	HeadAt     simclock.Time
-	HeadCause  string
-	HeadPred   int
-	Admitted   simclock.Time
-	AdmitPred  int
-}
+// Dep is the recorded causal launch history of one kernel, the node's
+// gpusim.KernelDep stored as emitted: when the host issued it, when the
+// launch queue delivered it (Serialized > 0 when the connection's issue
+// gap pushed it behind ConnPred), when and why it reached the head of
+// its stream (HeadCause is one of gpusim.CauseDelivery/CauseStream/
+// CauseEvent, HeadPred the enabling kernel id), and when the device
+// admitted it (AdmitPred names the kernel whose finish freed the SMs
+// when Admitted > HeadAt). Kernels cancelled before admission have no
+// Dep.
+type Dep = gpusim.KernelDep
 
 // QueueSample is one launch-queue depth observation (commands issued
 // to a device's streams and not yet retired).
@@ -131,10 +106,10 @@ type ReqLatency struct {
 	Cancelled int
 }
 
-// Recorder collects kernel spans and, when installed via
-// gpusim.SetTracer, the extended observability events: it implements
-// gpusim.Tracer, SpanTracer, CollectiveTracer, FaultTracer and
-// QueueTracer.
+// Recorder is the gpusim.Tracer: installed with gpusim.Node.SetTracer
+// (or core.Options.Tracer) it keeps every kernel span and dep record as
+// the node emits it, the collective lifecycle, fault transitions and
+// launch-queue depth. Analyze, metrics and the Chrome export read it.
 type Recorder struct {
 	spans    []Span
 	deps     []Dep
@@ -158,61 +133,37 @@ func NewRecorder() *Recorder {
 	return &Recorder{openWaits: make(map[int][]WaitSpan), lastQ: make(map[int]int)}
 }
 
-// KernelStart implements gpusim.Tracer.
-func (r *Recorder) KernelStart(int, string, gpusim.KernelClass, simclock.Time) {}
+// KernelSpan implements gpusim.Tracer.
+func (r *Recorder) KernelSpan(sp gpusim.KernelSpan) { r.spans = append(r.spans, sp) }
 
-// KernelEnd implements gpusim.Tracer. It records a span with no
-// scheduling metadata; the node prefers the KernelSpan path, so this
-// only runs for direct callers.
-func (r *Recorder) KernelEnd(dev int, name string, class gpusim.KernelClass, start, end simclock.Time) {
-	r.spans = append(r.spans, Span{ID: -1, Device: dev, Name: name, Class: class,
-		Start: start, End: end, Batch: -1, Req: -1, Coll: -1})
-}
-
-// KernelSpan implements gpusim.SpanTracer — the metadata-rich path the
-// node uses instead of KernelEnd.
-func (r *Recorder) KernelSpan(sp gpusim.KernelSpan) {
-	r.spans = append(r.spans, Span{ID: sp.ID, Device: sp.Device, Name: sp.Name,
-		Class: sp.Class, Start: sp.Start, End: sp.End, Batch: sp.Batch, Req: sp.Req,
-		Coll: sp.Coll, Cancelled: sp.Cancelled})
-}
-
-// KernelDep implements gpusim.DepTracer, recording the causal launch
+// KernelDep implements gpusim.Tracer, recording the causal launch
 // history each admitted kernel carries.
-func (r *Recorder) KernelDep(dep gpusim.KernelDep) {
-	r.deps = append(r.deps, Dep{
-		ID: dep.ID, Device: dep.Device, Stream: dep.Stream, Coll: dep.Coll,
-		Issued: dep.Issued, Delivered: dep.Delivered,
-		Serialized: dep.Serialized, ConnPred: dep.ConnPred,
-		HeadAt: dep.HeadAt, HeadCause: dep.HeadCause, HeadPred: dep.HeadPred,
-		Admitted: dep.Admitted, AdmitPred: dep.AdmitPred,
-	})
-}
+func (r *Recorder) KernelDep(dep gpusim.KernelDep) { r.deps = append(r.deps, dep) }
 
-// CollectiveEnqueue implements gpusim.CollectiveTracer.
+// CollectiveEnqueue implements gpusim.Tracer.
 func (r *Recorder) CollectiveEnqueue(coll, size, dev int, at simclock.Time) {
 	r.enqueues = append(r.enqueues, EnqueueEvent{Coll: coll, Size: size, Device: dev, At: at})
 	r.counts.Enqueued++
 }
 
-// RendezvousBegin implements gpusim.CollectiveTracer: the member now
+// RendezvousBegin implements gpusim.Tracer: the member now
 // occupies its device while spinning on its peers.
 func (r *Recorder) RendezvousBegin(coll, dev, batch, req int, at simclock.Time) {
 	r.openWaits[coll] = append(r.openWaits[coll],
 		WaitSpan{Device: dev, Coll: coll, Batch: batch, Req: req, Start: at})
 }
 
-// TransferStart implements gpusim.CollectiveTracer: the rendezvous
+// TransferStart implements gpusim.Tracer: the rendezvous
 // completed, closing every member's wait span.
 func (r *Recorder) TransferStart(coll int, at simclock.Time) {
 	r.closeWaits(coll, at, false)
 	r.counts.Started++
 }
 
-// CollectiveFinish implements gpusim.CollectiveTracer.
+// CollectiveFinish implements gpusim.Tracer.
 func (r *Recorder) CollectiveFinish(int, simclock.Time) { r.counts.Finished++ }
 
-// CollectiveAbort implements gpusim.CollectiveTracer: pending waits
+// CollectiveAbort implements gpusim.Tracer: pending waits
 // close flagged, since the transfer never happened.
 func (r *Recorder) CollectiveAbort(coll int, at simclock.Time) {
 	r.closeWaits(coll, at, true)
@@ -228,17 +179,17 @@ func (r *Recorder) closeWaits(coll int, at simclock.Time, aborted bool) {
 	delete(r.openWaits, coll)
 }
 
-// RateChange implements gpusim.FaultTracer.
+// RateChange implements gpusim.Tracer.
 func (r *Recorder) RateChange(dev int, speed, link float64, at simclock.Time) {
 	r.rates = append(r.rates, RateSample{Device: dev, Speed: speed, Link: link, At: at})
 }
 
-// DeviceFailed implements gpusim.FaultTracer.
+// DeviceFailed implements gpusim.Tracer.
 func (r *Recorder) DeviceFailed(dev int, at simclock.Time) {
 	r.fails = append(r.fails, FailEvent{Device: dev, At: at})
 }
 
-// RecoveryBegin implements gpusim.FaultTracer.
+// RecoveryBegin implements gpusim.Tracer.
 func (r *Recorder) RecoveryBegin(at simclock.Time) {
 	if r.recovOpen {
 		return
@@ -247,7 +198,7 @@ func (r *Recorder) RecoveryBegin(at simclock.Time) {
 	r.recovery = append(r.recovery, RecoveryWindow{Start: at, End: -1})
 }
 
-// RecoveryEnd implements gpusim.FaultTracer.
+// RecoveryEnd implements gpusim.Tracer.
 func (r *Recorder) RecoveryEnd(at simclock.Time) {
 	if !r.recovOpen {
 		return
@@ -256,7 +207,7 @@ func (r *Recorder) RecoveryEnd(at simclock.Time) {
 	r.recovery[len(r.recovery)-1].End = at
 }
 
-// QueueDepth implements gpusim.QueueTracer. Same-instant samples for
+// QueueDepth implements gpusim.Tracer. Same-instant samples for
 // one device coalesce to the last value, so a burst of launches leaves
 // one data point instead of a staircase of intermediate depths.
 func (r *Recorder) QueueDepth(dev, depth int, at simclock.Time) {
@@ -292,11 +243,6 @@ func (r *Recorder) QueueSamples() []QueueSample { return r.queue }
 
 // Counts returns the collective lifecycle totals.
 func (r *Recorder) Counts() CollectiveCounts { return r.counts }
-
-// Reset drops all recorded events.
-func (r *Recorder) Reset() {
-	*r = Recorder{openWaits: make(map[int][]WaitSpan), lastQ: make(map[int]int)}
-}
 
 // ReqBreakdown decomposes device time per request id: spans and waits
 // tagged Req < 0 are ignored. Compute and Comm are interval unions (a
@@ -513,6 +459,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	events = append(events, r.runningCounters()...)
 	events = append(events, r.metadata()...)
+	return writeChrome(w, events)
+}
+
+// writeChrome is the tail both Chrome exports share: a stable sort on
+// (TS, PID, TID, Name), so equal inputs give equal bytes, then one JSON
+// array.
+func writeChrome(w io.Writer, events []chromeEvent) error {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]
 		if a.TS != b.TS {
@@ -526,8 +479,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 		return a.Name < b.Name
 	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return json.NewEncoder(w).Encode(events)
 }
 
 // runningCounters derives per-device "running kernels" counter samples
@@ -621,43 +573,4 @@ func (r *Recorder) metadata() []chromeEvent {
 			Args: map[string]any{"name": "node"}})
 	}
 	return out
-}
-
-// OverlapTime returns, per device, the total time during which a
-// compute span and a comm span overlap — a direct measure of the
-// interleaving Liger creates.
-func (r *Recorder) OverlapTime(dev int) simclock.Time {
-	type edge struct {
-		at    simclock.Time
-		class gpusim.KernelClass
-		delta int
-	}
-	var edges []edge
-	for _, s := range r.spans {
-		if s.Device != dev {
-			continue
-		}
-		edges = append(edges, edge{s.Start, s.Class, +1}, edge{s.End, s.Class, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		return edges[i].delta < edges[j].delta // ends before starts at ties
-	})
-	var comp, comm int
-	var last simclock.Time
-	var total simclock.Time
-	for _, e := range edges {
-		if comp > 0 && comm > 0 {
-			total += e.at - last
-		}
-		last = e.at
-		if e.class == gpusim.Comm {
-			comm += e.delta
-		} else {
-			comp += e.delta
-		}
-	}
-	return total
 }

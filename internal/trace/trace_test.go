@@ -35,16 +35,19 @@ func TestRecorderCollectsSpans(t *testing.T) {
 			t.Fatalf("span %q has non-positive duration", sp.Name)
 		}
 	}
-	rec.Reset()
-	if len(rec.Spans()) != 0 {
-		t.Fatal("Reset did not clear spans")
-	}
+}
+
+// addSpan records a kernel span with no scheduling metadata (no batch,
+// request or collective) on dev.
+func addSpan(rec *Recorder, dev int, name string, class gpusim.KernelClass, start, end simclock.Time) {
+	rec.KernelSpan(gpusim.KernelSpan{ID: len(rec.Spans()), Device: dev, Name: name, Class: class,
+		Start: start, End: end, Batch: -1, Req: -1, Coll: -1})
 }
 
 func TestChromeTraceExport(t *testing.T) {
 	rec := NewRecorder()
-	rec.KernelEnd(0, "gemm", gpusim.Compute, 0, simclock.Time(10*time.Microsecond))
-	rec.KernelEnd(1, "ar", gpusim.Comm, simclock.Time(5*time.Microsecond), simclock.Time(20*time.Microsecond))
+	addSpan(rec, 0, "gemm", gpusim.Compute, 0, simclock.Time(10*time.Microsecond))
+	addSpan(rec, 1, "ar", gpusim.Comm, simclock.Time(5*time.Microsecond), simclock.Time(20*time.Microsecond))
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -64,23 +67,6 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if spans[1]["tid"] != float64(1) {
 		t.Fatal("comm kernel not on track 1")
-	}
-}
-
-func TestOverlapTime(t *testing.T) {
-	rec := NewRecorder()
-	us := func(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Microsecond) }
-	// compute [0,100], comm [40,80]: overlap 40µs on device 0.
-	rec.KernelEnd(0, "c", gpusim.Compute, us(0), us(100))
-	rec.KernelEnd(0, "m", gpusim.Comm, us(40), us(80))
-	// Device 1: disjoint.
-	rec.KernelEnd(1, "c", gpusim.Compute, us(0), us(50))
-	rec.KernelEnd(1, "m", gpusim.Comm, us(50), us(90))
-	if ov := rec.OverlapTime(0); ov != us(40) {
-		t.Fatalf("device 0 overlap %v, want 40µs", ov)
-	}
-	if ov := rec.OverlapTime(1); ov != 0 {
-		t.Fatalf("device 1 overlap %v, want 0", ov)
 	}
 }
 

@@ -7,9 +7,9 @@
 // The gate is the step table in steps(), run in order; the first
 // failure stops it. A step is one of three things:
 //
-//   - A command that must exit 0: gofmt, vet, build, the -race passes
-//     over the concurrency-bearing, failover and observability paths,
-//     the full test suite, the chaos smoke, a small -race stress
+//   - A command that must exit 0: gofmt, vet, build, a whole-package
+//     -race pass over the concurrency-bearing, failover and
+//     observability packages, the full test suite, the chaos smoke, a small -race stress
 //     campaign, and bounded native fuzzing of the scenario loader and
 //     the arrival-trace reader.
 //   - A twin: one command run at two settings (worker count, shard
@@ -64,20 +64,13 @@ func steps() []step {
 		{"gofmt", gofmtCheck},
 		{"go vet", command("go", "vet", "./...")},
 		{"go build", command("go", "build", "./...")},
-		{"race (runner, simclock, faults, serve, cluster, kvcache, generate, gpusim, parallel, liger, runtimes)", command("go", "test", "-race",
+		{"race (runner, simclock, faults, serve, cluster, kvcache, generate, gpusim, parallel, liger, runtimes, trace, metrics, analyze, stats)", command("go", "test", "-race",
 			"./internal/runner", "./internal/simclock", "./internal/faults", "./internal/serve",
 			"./internal/cluster", "./internal/kvcache", "./internal/generate",
-			"./internal/gpusim", "./internal/parallel", "./internal/liger", "./internal/runtimes")},
+			"./internal/gpusim", "./internal/parallel", "./internal/liger", "./internal/runtimes",
+			"./internal/trace", "./internal/metrics", "./internal/analyze", "./internal/stats")},
 		{"go test", command("go", "test", "./...")},
 		{"chaos smoke", command("go", ligerbench("chaos")...)},
-		{"failover race", command("go", "test", "-race",
-			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce",
-			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
-		{"observability race", command("go", "test", "-race",
-			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
-			"./internal/trace", "./internal/metrics", "./internal/gpusim",
-			"./internal/runtimes", "./internal/serve", "./internal/stats",
-			"./internal/analyze")},
 		// Sweep JSON plus a trace/metrics/analysis triple per runtime;
 		// the analysis byte-compare doubles as the analyzer determinism
 		// smoke.
@@ -325,8 +318,10 @@ func readArtifacts(dir string) (map[string][]byte, error) {
 }
 
 // examples builds every examples/* program into a scratch directory and
-// runs each binary there; go build compiles them, but only running them
-// catches an example broken by an API change.
+// runs each binary there, with the scratch directory as its working
+// directory so whatever an example writes stays out of the checkout;
+// go build compiles them, but only running them catches an example
+// broken by an API change.
 func examples() error {
 	tmp, err := os.MkdirTemp("", "ci-examples-*")
 	if err != nil {
@@ -346,6 +341,7 @@ func examples() error {
 	for _, dir := range dirs {
 		name := filepath.Base(dir)
 		cmd := exec.Command(filepath.Join(tmp, name))
+		cmd.Dir = tmp
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err := checkExample(name, out, err); err != nil {
