@@ -28,8 +28,13 @@ vet:
 fmt:
 	gofmt -w .
 
+# Microbenchmarks: the event engine, kernel and collective admission,
+# the bench harness, and one Liger scheduling round (the root package's
+# BenchmarkSchedulerRound; its other benchmarks regenerate whole
+# figures and are left to `go test -bench`).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/simclock ./internal/gpusim ./internal/bench
+	$(GO) test -bench=SchedulerRound -benchmem -run=^$$ .
 
 # Full-fidelity chaos sweep: every fault scenario x runtime under the
 # deadline/retry policy (seeded, byte-reproducible).

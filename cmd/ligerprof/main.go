@@ -58,14 +58,15 @@ type engineStats struct {
 	// SimulatedNS is the virtual time the calibration run covered.
 	SimulatedNS int64 `json:"simulated_ns"`
 	// MaxPending is the queue-occupancy high-water mark; Compactions,
-	// Reloads, Rebases, Resizes and FarPushes expose the calendar
-	// queue's adaptation behaviour (see docs/PERF.md).
+	// Reloads, Rebases, Resizes, FarPushes and MidInserts expose the
+	// calendar queue's adaptation behaviour (see docs/PERF.md).
 	MaxPending  int    `json:"max_pending"`
 	Compactions uint64 `json:"compactions"`
 	Reloads     uint64 `json:"reloads"`
 	Rebases     uint64 `json:"rebases"`
 	Resizes     uint64 `json:"resizes"`
 	FarPushes   uint64 `json:"far_pushes"`
+	MidInserts  uint64 `json:"mid_inserts"`
 	// BySubsystem decomposes scheduled events by origin.
 	BySubsystem gpusim.EventCounters `json:"by_subsystem"`
 	// ShardDomains/ShardLookaheadNS echo the partition analysis;
@@ -188,6 +189,7 @@ func measureEngine(node hw.Node, spec model.Spec, batch, batches int) (*engineSt
 		Rebases:     st.Rebases,
 		Resizes:     st.Resizes,
 		FarPushes:   st.FarPushes,
+		MidInserts:  st.MidInserts,
 		BySubsystem: eng.SimNode().EventCounters(),
 
 		ShardDomains:     plan.Domains,

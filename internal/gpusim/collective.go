@@ -25,9 +25,13 @@ type Collective struct {
 	size int
 
 	members []*kernelInstance
-	started bool
-	done    bool
-	aborted bool
+	// membersInline backs members for groups of up to four ranks (the
+	// node presets' size), so their member list needs no allocation of
+	// its own.
+	membersInline [4]*kernelInstance
+	started       bool
+	done          bool
+	aborted       bool
 
 	// timeout bounds the span from the first member's arrival to group
 	// completion (covering both a hung rendezvous and stalled progress);
@@ -35,6 +39,8 @@ type Collective struct {
 	timeout  time.Duration
 	timeoutH simclock.Handle
 	onAbort  []func(now simclock.Time)
+	// abortInline backs onAbort for the usual single subscriber.
+	abortInline [1]func(now simclock.Time)
 
 	remainingNS float64
 	rate        float64
@@ -88,7 +94,7 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 	if c.done {
 		if c.aborted {
 			k.startedAt = k.admittedAt
-			k.cancelled = CancelCollectiveAbort
+			k.cancelled = cancelCollectiveAbort
 			k.stream.dev.finish(k, now)
 			k.release()
 			return
@@ -200,7 +206,7 @@ func (c *Collective) abort(now simclock.Time) {
 		}
 		// The transfer never happened: the member spans are truncations of
 		// an aborted group, not completions.
-		m.cancelled = CancelCollectiveAbort
+		m.cancelled = cancelCollectiveAbort
 		m.stream.dev.finish(m, now)
 	}
 	c.releaseMembers()

@@ -47,8 +47,10 @@ type Device struct {
 	running      []*kernelInstance
 	computeInUse float64
 	// membwFactor is the current slowdown (>=1) from bandwidth
-	// oversubscription.
+	// oversubscription; commFactor is the slowdown it causes
+	// communication kernels, recomputed only when membwFactor changes.
 	membwFactor float64
+	commFactor  float64
 
 	// pendingAdmission holds streams whose head kernel was delivered but
 	// did not fit under the left-over policy, kept sorted in admission
@@ -92,7 +94,7 @@ type Device struct {
 }
 
 func newDevice(n *Node, id, conns int) *Device {
-	d := &Device{node: n, id: id, membwFactor: 1, speed: 1, linkFactor: 1,
+	d := &Device{node: n, id: id, membwFactor: 1, commFactor: 1, speed: 1, linkFactor: 1,
 		lastFreed: -1, memCapacity: int64(n.spec.GPU.MemGB * 1e9)}
 	for i := 0; i < conns; i++ {
 		d.conns = append(d.conns, &connection{id: i, lastKernel: -1})
@@ -262,7 +264,7 @@ func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 	if !k.headStamped {
 		k.headStamped = true
 		k.headAt = now
-		k.headCause = CauseDelivery
+		k.headCause = causeDelivery
 	}
 	if now > k.headAt {
 		k.admitPred = d.lastFreed
@@ -275,7 +277,7 @@ func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 		ID: k.id, Device: d.id, Stream: k.stream.id, Coll: coll,
 		Issued: k.issuedAt, Delivered: k.deliveredAt,
 		Serialized: k.serialized, ConnPred: k.connPred,
-		HeadAt: k.headAt, HeadCause: k.headCause, HeadPred: k.headPred,
+		HeadAt: k.headAt, HeadCause: causeNames[k.headCause], HeadPred: k.headPred,
 		Admitted: now, AdmitPred: k.admitPred,
 	})
 }
@@ -356,7 +358,12 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	}
 	for i, r := range d.running {
 		if r == k {
-			d.running = append(d.running[:i], d.running[i+1:]...)
+			// Clear the vacated tail slot: the instance goes back to the
+			// pool, and spare capacity must not keep it reachable.
+			n := len(d.running) - 1
+			copy(d.running[i:], d.running[i+1:])
+			d.running[n] = nil
+			d.running = d.running[:n]
 			break
 		}
 	}
@@ -389,7 +396,7 @@ func (d *Device) emitSpan(k *kernelInstance, end simclock.Time) {
 		ID: k.id, Device: d.id, Name: k.spec.Name, Class: k.spec.Class,
 		Start: k.startedAt, End: end,
 		Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
-		Cancelled: k.cancelled,
+		Cancelled: cancelNames[k.cancelled],
 	})
 }
 
@@ -409,7 +416,7 @@ func (d *Device) drainFailed(now simclock.Time) {
 		}
 		// The kernel was mid-execution when the device died: its span is
 		// truncated at the failure instant, not a completion.
-		k.cancelled = CancelDeviceFail
+		k.cancelled = cancelDeviceFail
 		d.finish(k, now)
 	}
 	for i := range d.pendingAdmission {
@@ -436,7 +443,13 @@ func (d *Device) recompute(now simclock.Time) {
 	if bw > 1 {
 		factor = bw
 	}
-	d.membwFactor = factor
+	if factor != d.membwFactor {
+		d.membwFactor = factor
+		d.commFactor = factor
+		if s := d.node.spec.Contention.CommBWSensitivity; s > 0 && factor > 1 {
+			d.commFactor = math.Pow(factor, s)
+		}
+	}
 
 	// Epoch-mark dedup of the running set's collectives: each recompute
 	// pass gets a fresh node-wide epoch, and a collective is gathered the
@@ -482,13 +495,8 @@ func (d *Device) kernelRate(class KernelClass, membw float64) float64 {
 // classFactor returns the slowdown applied to a kernel class under the
 // current bandwidth oversubscription.
 func (d *Device) classFactor(class KernelClass) float64 {
-	if d.membwFactor <= 1 {
-		return 1
-	}
 	if class == Comm {
-		if s := d.node.spec.Contention.CommBWSensitivity; s > 0 {
-			return math.Pow(d.membwFactor, s)
-		}
+		return d.commFactor
 	}
 	return d.membwFactor
 }

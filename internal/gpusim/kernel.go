@@ -91,7 +91,7 @@ type kernelInstance struct {
 	serialized  simclock.Time
 	connPred    int
 	headAt      simclock.Time
-	headCause   string
+	headCause   headCause
 	headPred    int
 	headStamped bool
 	admitPred   int
@@ -110,10 +110,10 @@ type kernelInstance struct {
 	finishedAt simclock.Time
 
 	// cancelled names the teardown that truncated this kernel instead of
-	// letting it complete ("device-fail", "collective-abort"); empty for
-	// a normal completion. Set by the cancel paths before finish so the
-	// tracer can flag the span.
-	cancelled string
+	// letting it complete (cancelDeviceFail, cancelCollectiveAbort);
+	// notCancelled for a normal completion. Set by the cancel paths before
+	// finish so the tracer can flag the span.
+	cancelled cancelReason
 }
 
 // kernelPool recycles kernel instances, so a steady-state launch does

@@ -126,6 +126,30 @@ const (
 	CauseEvent = "event"
 )
 
+// headCause is KernelDep.HeadCause on the hot path; causeNames maps it to
+// the exported string when the record is built.
+type headCause uint8
+
+const (
+	causeDelivery headCause = iota
+	causeStream
+	causeEvent
+)
+
+var causeNames = [...]string{causeDelivery: CauseDelivery, causeStream: CauseStream, causeEvent: CauseEvent}
+
+// cancelReason is KernelSpan.Cancelled on the hot path; cancelNames maps
+// it to the exported string when the span is built.
+type cancelReason uint8
+
+const (
+	notCancelled cancelReason = iota
+	cancelDeviceFail
+	cancelCollectiveAbort
+)
+
+var cancelNames = [...]string{notCancelled: "", cancelDeviceFail: CancelDeviceFail, cancelCollectiveAbort: CancelCollectiveAbort}
+
 // KernelDep is the causal launch record of one kernel: the timestamps
 // and predecessor edges that explain when (and why) it started. One
 // record is emitted per admitted kernel; together with the KernelSpan
@@ -311,7 +335,7 @@ func (n *Node) newCommand(s *Stream) *command {
 	cmd := &command{stream: s}
 	cmd.deliverFn = func(t simclock.Time) {
 		cmd.delivered = true
-		cmd.stream.advCause, cmd.stream.advPred = CauseDelivery, -1
+		cmd.stream.advCause, cmd.stream.advPred = causeDelivery, -1
 		cmd.stream.advance(t)
 	}
 	return cmd
@@ -347,7 +371,7 @@ func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
 		panic(fmt.Sprintf("gpusim: connection %d out of range (device has %d)", conn, len(d.conns)))
 	}
 	s := &Stream{node: n, dev: d, id: n.nextStreamID, conn: d.conns[conn],
-		lastDone: -1, advCause: CauseDelivery, advPred: -1}
+		lastDone: -1, advCause: causeDelivery, advPred: -1}
 	n.nextStreamID++
 	d.streams = append(d.streams, s)
 	return s
@@ -360,6 +384,12 @@ func (n *Node) NewCollective(size int) *Collective {
 		panic("gpusim: collective size must be >= 1")
 	}
 	c := &Collective{node: n, id: n.nextCollID, size: size, timeout: n.collTimeout}
+	if size <= len(c.membersInline) {
+		c.members = c.membersInline[:0]
+	} else {
+		c.members = make([]*kernelInstance, 0, size)
+	}
+	c.onAbort = c.abortInline[:0]
 	n.nextCollID++
 	return c
 }

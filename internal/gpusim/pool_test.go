@@ -202,3 +202,26 @@ func TestKernelLaunchAllocs(t *testing.T) {
 		t.Fatalf("launch+complete = %.0f allocs per kernel, want 0", allocs)
 	}
 }
+
+// TestFinishClearsRunningSlots pins that removing a finished kernel from
+// the device's running set leaves no pointer in the slice's spare
+// capacity: a finished plain kernel goes back to the pool, and a stale
+// slot would keep the recycled instance reachable.
+func TestFinishClearsRunningSlots(t *testing.T) {
+	eng, n := testNode(t, 1)
+	for _, d := range []time.Duration{10 * time.Microsecond, 20 * time.Microsecond} {
+		spec := computeSpec("k", d)
+		spec.ComputeDemand = 0.3
+		n.NewStream(0).Launch(spec)
+	}
+	eng.Run()
+	d := n.devices[0]
+	if len(d.running) != 0 || cap(d.running) < 2 {
+		t.Fatalf("running set len %d cap %d, want empty after two concurrent kernels", len(d.running), cap(d.running))
+	}
+	for i, k := range d.running[:cap(d.running)] {
+		if k != nil {
+			t.Fatalf("running slot %d still holds a finished kernel", i)
+		}
+	}
+}

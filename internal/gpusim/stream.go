@@ -39,7 +39,11 @@ type Event struct {
 	// stream when the event fired (-1 if none): the predecessor edge a
 	// waiting kernel inherits.
 	firedBy int
-	subs    []func(simclock.Time)
+	// sub is the first subscriber and subs the later ones, in
+	// registration order: most events have one, which then costs no
+	// slice.
+	sub  func(simclock.Time)
+	subs []func(simclock.Time)
 }
 
 // Fired reports whether the event has completed.
@@ -54,8 +58,11 @@ func (e *Event) fire(now simclock.Time) {
 	}
 	e.fired = true
 	e.firedAt = now
-	subs := e.subs
-	e.subs = nil
+	sub, subs := e.sub, e.subs
+	e.sub, e.subs = nil, nil
+	if sub != nil {
+		sub(now)
+	}
 	for _, fn := range subs {
 		fn(now)
 	}
@@ -65,6 +72,10 @@ func (e *Event) fire(now simclock.Time) {
 func (e *Event) onFire(fn func(simclock.Time)) {
 	if e.fired {
 		fn(e.firedAt)
+		return
+	}
+	if e.sub == nil {
+		e.sub = fn
 		return
 	}
 	e.subs = append(e.subs, fn)
@@ -107,8 +118,15 @@ type Stream struct {
 	// advCause/advPred carry the reason the current advance pass runs
 	// (delivery, predecessor finish, event fire) so a kernel's first
 	// admission attempt can stamp its head cause for the tracer.
-	advCause string
+	advCause headCause
 	advPred  int
+
+	// waitEv is the event the stream's head wait command blocks on, and
+	// waitFn the callback subscribed to it. A stream blocks on at most
+	// one event at a time, so one callback, built on first use, serves
+	// every wait.
+	waitEv *Event
+	waitFn func(simclock.Time)
 }
 
 // SetPriority raises (positive) or lowers the stream's scheduling
@@ -245,8 +263,22 @@ func (s *Stream) completeHead(now simclock.Time) {
 	}
 	// Whatever runs next on this stream was released by the finished
 	// predecessor (program order).
-	s.advCause, s.advPred = CauseStream, s.lastDone
+	s.advCause, s.advPred = causeStream, s.lastDone
 	s.advance(now)
+}
+
+// subscribeWait makes ev's firing advance the stream, released by the
+// event (the head cause its next kernel records).
+func (s *Stream) subscribeWait(ev *Event) {
+	if s.waitFn == nil {
+		s.waitFn = func(t simclock.Time) {
+			s.advCause, s.advPred = causeEvent, s.waitEv.firedBy
+			s.waitEv = nil
+			s.advance(t)
+		}
+	}
+	s.waitEv = ev
+	ev.onFire(s.waitFn)
 }
 
 // advance processes as many head commands as are currently eligible.
@@ -269,11 +301,7 @@ func (s *Stream) advance(now simclock.Time) {
 			}
 			if !cmd.waitRegistered {
 				cmd.waitRegistered = true
-				ev := cmd.event
-				ev.onFire(func(t simclock.Time) {
-					s.advCause, s.advPred = CauseEvent, ev.firedBy
-					s.advance(t)
-				})
+				s.subscribeWait(cmd.event)
 			}
 			return
 		case cmdKernel:
@@ -300,7 +328,7 @@ func (s *Stream) advance(now simclock.Time) {
 					k.finishedAt = now
 					// The kernel never ran; report a zero-length truncated span
 					// so traces account for it instead of silently dropping it.
-					k.cancelled = CancelDeviceFail
+					k.cancelled = cancelDeviceFail
 					s.dev.emitSpan(k, now)
 					s.pop()
 					if c := k.spec.Coll; c != nil {

@@ -13,14 +13,14 @@ import (
 	"fmt"
 	"time"
 
-	"liger/internal/gpusim"
 	"liger/internal/model"
 	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
 // Func is one kernel launch function wrapper (§3.2): the kernel
-// descriptor plus the batch bookkeeping the scheduler needs.
+// descriptor plus the batch bookkeeping the scheduler needs. A secondary
+// subset gathers kernels from several batches, so it is a list of Funcs.
 type Func struct {
 	Desc  parallel.KernelDesc
 	batch *Batch
@@ -69,8 +69,10 @@ type Batch struct {
 	// a tracked request.
 	Req int
 
-	funcs []Func
-	pos   int
+	// kernels is the compiled FuncVec; kernels[pos:] are not yet
+	// scheduled.
+	kernels []parallel.KernelDesc
+	pos     int
 
 	// SubmittedAt / DoneAt bound the batch's latency (pending + CUDA
 	// execution time, the paper's latency metric); FirstLaunchAt splits
@@ -93,25 +95,24 @@ type Batch struct {
 	onDone func(b *Batch, now simclock.Time)
 	// kernelDoneFn is the reusable per-batch completion callback wired
 	// into every launched kernel's OnDone (one closure per batch instead
-	// of one per launch).
+	// of one per launch); abortFn likewise marks the batch failed from
+	// any of its collectives' aborts.
 	kernelDoneFn func(now simclock.Time)
+	abortFn      func(now simclock.Time)
 }
 
-// NewBatch wraps a compiled kernel sequence as a schedulable batch.
+// NewBatch wraps a compiled kernel sequence as a schedulable batch. The
+// batch takes ownership of kernels: runtime decomposition rewrites the
+// head kernel in place, so the caller must not reuse the slice.
 func NewBatch(id int, w model.Workload, kernels []parallel.KernelDesc) *Batch {
-	b := &Batch{ID: id, Workload: w, Req: -1}
-	b.funcs = make([]Func, len(kernels))
-	for i, k := range kernels {
-		b.funcs[i] = Func{Desc: k, batch: b}
-	}
-	return b
+	return &Batch{ID: id, Workload: w, Req: -1, kernels: kernels}
 }
 
 // Remaining reports how many funcs are not yet scheduled.
-func (b *Batch) Remaining() int { return len(b.funcs) - b.pos }
+func (b *Batch) Remaining() int { return len(b.kernels) - b.pos }
 
 // Exhausted reports whether every func has been scheduled.
-func (b *Batch) Exhausted() bool { return b.pos >= len(b.funcs) }
+func (b *Batch) Exhausted() bool { return b.pos >= len(b.kernels) }
 
 // Completed reports whether every launched kernel has finished.
 func (b *Batch) Completed() bool { return b.completed }
@@ -141,28 +142,22 @@ func (b *Batch) ExecutionTime() time.Duration {
 	return b.DoneAt - b.FirstLaunchAt
 }
 
-// head returns the next unscheduled func; callers must check
+// head returns the next unscheduled kernel; callers must check
 // Exhausted first.
-func (b *Batch) head() Func { return b.funcs[b.pos] }
+func (b *Batch) head() *parallel.KernelDesc { return &b.kernels[b.pos] }
 
-// pop consumes and returns the head func.
-func (b *Batch) pop() Func {
-	f := b.funcs[b.pos]
+// pop consumes and returns the head kernel.
+func (b *Batch) pop() *parallel.KernelDesc {
+	k := &b.kernels[b.pos]
 	b.pos++
-	return f
+	return k
 }
 
 // replaceHead swaps the head's kernel descriptor — used when runtime
 // decomposition peels a prefix off a lengthy kernel and leaves the
 // remainder in place (§3.6).
 func (b *Batch) replaceHead(desc parallel.KernelDesc) {
-	b.funcs[b.pos].Desc = desc
-}
-
-// nextSwitch reports whether the head kernel's type differs from typ —
-// the switch-point test of Algorithm 1.
-func (b *Batch) nextSwitch(typ gpusim.KernelClass) bool {
-	return b.Exhausted() || b.head().Desc.Class != typ
+	b.kernels[b.pos] = desc
 }
 
 // kernelLaunched records one launched kernel instance.
@@ -195,7 +190,7 @@ func (b *Batch) failRemaining(now simclock.Time) {
 		return
 	}
 	b.Failed = true
-	b.pos = len(b.funcs)
+	b.pos = len(b.kernels)
 	if b.pendingKernels == 0 {
 		b.completed = true
 		b.DoneAt = now

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
+	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
@@ -85,6 +86,17 @@ type Scheduler struct {
 
 	journal    []RoundRecord
 	journalCap int
+
+	// nextRound is the round-completion callback that launches the next
+	// round, built once.
+	nextRound func(now simclock.Time)
+	// Scratch reused by every round: the secondary subset, the
+	// collectives of both subsets, and the CPU-GPU barrier's events. A
+	// round clears them before it returns, so they keep nothing alive.
+	secondary []Func
+	colls0    []*gpusim.Collective
+	colls1    []*gpusim.Collective
+	barrier   []*gpusim.Event
 }
 
 // NewScheduler builds a scheduler over the simulated node.
@@ -103,6 +115,10 @@ func NewScheduler(node *gpusim.Node, cfg Config) (*Scheduler, error) {
 	}
 	s.lastComputeEnd = make([]*gpusim.Event, node.NumDevices())
 	s.lastCommEnd = make([]*gpusim.Event, node.NumDevices())
+	s.nextRound = func(t simclock.Time) {
+		s.roundPending = false
+		s.maybeStartRound(t)
+	}
 	s.dynFactor = cfg.ContentionFactor
 	if cfg.AdaptiveContention {
 		// Learn from scratch: start optimistic and let overruns teach.
@@ -179,6 +195,7 @@ func (s *Scheduler) refill() {
 			live = append(live, b)
 		}
 	}
+	clear(s.processing[len(live):])
 	s.processing = live
 	for len(s.processing) < s.cfg.MaxInflight && len(s.waiting) > 0 {
 		// Pull the first latency-critical waiter if any, else FIFO.
@@ -206,19 +223,23 @@ func (s *Scheduler) refill() {
 			b.workspaceHeld = true
 		}
 		s.processing = append(s.processing, b)
-		s.waiting = append(s.waiting[:pick], s.waiting[pick+1:]...)
+		// Remove the pick and clear the vacated tail slot, so spare
+		// capacity does not keep an admitted batch reachable.
+		n := len(s.waiting) - 1
+		copy(s.waiting[pick:], s.waiting[pick+1:])
+		s.waiting[n] = nil
+		s.waiting = s.waiting[:n]
 	}
-	// Stable partition by class.
-	var critical, effort []*Batch
-	for _, b := range s.processing {
+	// Stable partition by class, in place: each latency-critical batch
+	// moves ahead of the best-effort batches before it.
+	w := 0
+	for i, b := range s.processing {
 		if b.Class == BestEffort {
-			effort = append(effort, b)
-		} else {
-			critical = append(critical, b)
+			continue
 		}
-	}
-	if len(effort) > 0 && len(critical) > 0 {
-		s.processing = append(critical, effort...)
+		copy(s.processing[w+1:i+1], s.processing[w:i])
+		s.processing[w] = b
+		w++
 	}
 }
 
@@ -238,15 +259,15 @@ func (s *Scheduler) maybeStartRound(now simclock.Time) {
 
 // collectPrimary implements the first half of Algorithm 1: pop kernels
 // from the primary batch until the kernel type switches, accumulating
-// the window duration.
-func (s *Scheduler) collectPrimary(primary *Batch) (subset []Func, window time.Duration, typ gpusim.KernelClass) {
-	typ = primary.head().Desc.Class
-	for !primary.Exhausted() && primary.head().Desc.Class == typ {
-		f := primary.pop()
-		window += f.Desc.Duration
-		subset = append(subset, f)
+// the window duration. The subset is the popped run of the batch's own
+// kernel slice.
+func (s *Scheduler) collectPrimary(primary *Batch) (subset []parallel.KernelDesc, window time.Duration, typ gpusim.KernelClass) {
+	start := primary.pos
+	typ = primary.head().Class
+	for !primary.Exhausted() && primary.head().Class == typ {
+		window += primary.pop().Duration
 	}
-	return subset, window, typ
+	return primary.kernels[start:primary.pos], window, typ
 }
 
 // collectSecondary implements the second half of Algorithm 1 plus the
@@ -260,25 +281,24 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 	}
 	// Budget in un-scaled duration: scaled total = sum(dur)·cf ≤ window.
 	budget := time.Duration(float64(window) / s.contentionFactor())
-	var subset []Func
+	subset := s.secondary[:0]
 	for _, v := range s.processing[1:] {
 		for !v.Exhausted() && budget > 0 {
 			head := v.head()
-			if head.Desc.Class == typ {
+			if head.Class == typ {
 				// Same type as the primary subset: taking it would make
 				// same-type kernels contend with the primary batch
 				// (Principle 1); move to the next batch.
 				break
 			}
-			if head.Desc.Duration <= budget {
-				f := v.pop()
-				budget -= f.Desc.Duration
-				subset = append(subset, f)
+			if head.Duration <= budget {
+				budget -= head.Duration
+				subset = append(subset, Func{Desc: *v.pop(), batch: v})
 				continue
 			}
 			// Lengthy kernel: runtime decomposition (§3.6). Launch the
 			// 1/D pieces that fit in the remaining budget.
-			headPieces, rest, ok := head.Desc.SplitWithin(s.cfg.DivisionFactor, budget)
+			headPieces, rest, ok := head.SplitWithin(s.cfg.DivisionFactor, budget)
 			if !ok {
 				break
 			}
@@ -294,6 +314,7 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 			break
 		}
 	}
+	s.secondary = subset
 	return subset
 }
 
@@ -370,18 +391,21 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 
 	// Rounds launch onto the surviving devices only; after a failover
 	// the SPMD group (and every collective) is sized to the survivors.
-	ndev := s.node.NumDevices()
 	primStreams, primLast := s.streamsFor(typ)
 	secStreams, secLast := s.streamsFor(otherClass(typ))
 
-	// Collectives rendezvous across the SPMD group: one per comm func.
-	colls0 := s.collectives(sub0)
-	colls1 := s.collectives(sub1)
+	// Collectives rendezvous across the SPMD group: one per comm kernel,
+	// index-aligned with the subset (nil for compute kernels).
+	colls0, colls1 := s.colls0[:0], s.colls1[:0]
+	for i := range sub0 {
+		colls0 = append(colls0, s.collective(&sub0[i], primary))
+	}
+	for i := range sub1 {
+		colls1 = append(colls1, s.collective(&sub1[i].Desc, sub1[i].batch))
+	}
 
 	var notify *gpusim.Event
 	lead := s.alive[0]
-	endPrim := make([]*gpusim.Event, ndev)
-	endSec := make([]*gpusim.Event, ndev)
 	for _, d := range s.alive {
 		ps := primStreams[d]
 		// Inter-stream half of the synchronization: this round must not
@@ -390,42 +414,38 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 		if ev := secLast[d]; ev != nil {
 			ps.Wait(ev)
 		}
-		for i, f := range sub0 {
+		for i := range sub0 {
 			if s.cfg.Sync == Hybrid && d == lead && i == len(sub0)-1 {
 				// The pre-launch trigger: recorded before the subset's last
 				// kernel so the CPU schedules the next round while it runs,
 				// hiding the launch overhead (Fig. 8, bottom).
 				notify = ps.Record()
 			}
-			s.launchFunc(ps, f, colls0[i])
+			s.launchKernel(ps, &sub0[i], primary, colls0[i])
 		}
-		endPrim[d] = ps.Record()
+		endPrim := ps.Record()
 
 		ss := secStreams[d]
 		if ev := primLast[d]; ev != nil {
 			ss.Wait(ev)
 		}
-		for i, f := range sub1 {
-			s.launchFunc(ss, f, colls1[i])
+		for i := range sub1 {
+			s.launchKernel(ss, &sub1[i].Desc, sub1[i].batch, colls1[i])
 		}
-		endSec[d] = ss.Record()
+		// This round's end events become the next round's waits; both
+		// previous ones were read above.
+		primLast[d], secLast[d] = endPrim, ss.Record()
 	}
-	// Remember this round's end events for the next round's waits.
-	for _, d := range s.alive {
-		if typ == gpusim.Compute {
-			s.lastComputeEnd[d] = endPrim[d]
-			s.lastCommEnd[d] = endSec[d]
-		} else {
-			s.lastCommEnd[d] = endPrim[d]
-			s.lastComputeEnd[d] = endSec[d]
-		}
-	}
+	clear(colls0)
+	clear(colls1)
+	clear(sub1)
+	s.colls0, s.colls1 = colls0[:0], colls1[:0]
 
 	// Observe whether the secondary subset outlasted the primary — the
 	// §3.5 scheduling-failure signal — and adapt the online contention
 	// factor when enabled.
 	if len(sub1) > 0 {
-		ep, es := endPrim[lead], endSec[lead]
+		ep, es := primLast[lead], secLast[lead]
 		threshold := window / 50 // ignore sub-2% overruns: noise, not failures
 		es.Observe(func(now simclock.Time) {
 			if debugOverrunHook != nil {
@@ -458,30 +478,28 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 		})
 	}
 
-	next := func(t simclock.Time) {
-		s.roundPending = false
-		s.maybeStartRound(t)
-	}
 	switch s.cfg.Sync {
 	case Hybrid:
 		if notify == nil {
 			// Empty primary subset cannot happen (primary always has a
 			// head), but guard against a zero-length round.
-			s.node.Engine().After(0, next)
+			s.node.Engine().After(0, s.nextRound)
 			return
 		}
-		notify.OnHost(next)
+		notify.OnHost(s.nextRound)
 	case CPUGPU:
-		evs := make([]*gpusim.Event, 0, 2*len(s.alive))
+		evs := s.barrier[:0]
 		for _, d := range s.alive {
-			evs = append(evs, endPrim[d], endSec[d])
+			evs = append(evs, primLast[d], secLast[d])
 		}
-		s.node.HostBarrier(evs, next)
+		s.node.HostBarrier(evs, s.nextRound)
+		clear(evs)
+		s.barrier = evs[:0]
 	case InterStreamOnly:
 		// No CPU trigger at all: the next schedulable round launches
 		// immediately, everything gated by inter-stream events. The
 		// launch connections flood and late arrivals miss the windows.
-		s.node.Engine().After(0, next)
+		s.node.Engine().After(0, s.nextRound)
 	}
 }
 
@@ -501,21 +519,20 @@ func otherClass(typ gpusim.KernelClass) gpusim.KernelClass {
 	return gpusim.Comm
 }
 
-// collectives allocates one rendezvous group per communication func in
-// a subset (index-aligned; nil for compute funcs). An abort — the
+// collective allocates the rendezvous group of one kernel of batch b,
+// or returns nil for a kernel that is not a collective. An abort — the
 // watchdog tearing down a hung group under fault injection — marks the
 // owning batch failed so the serving layer can retry it.
-func (s *Scheduler) collectives(subset []Func) []*gpusim.Collective {
-	out := make([]*gpusim.Collective, len(subset))
-	for i, f := range subset {
-		if f.Desc.Collective {
-			c := s.node.NewCollective(len(s.alive))
-			b := f.batch
-			c.OnAbort(func(simclock.Time) { b.Failed = true })
-			out[i] = c
-		}
+func (s *Scheduler) collective(k *parallel.KernelDesc, b *Batch) *gpusim.Collective {
+	if !k.Collective {
+		return nil
 	}
-	return out
+	c := s.node.NewCollective(len(s.alive))
+	if b.abortFn == nil {
+		b.abortFn = func(simclock.Time) { b.Failed = true }
+	}
+	c.OnAbort(b.abortFn)
+	return c
 }
 
 // Quiesce begins a failover drain: round launches stop, every admitted
@@ -584,10 +601,9 @@ func (s *Scheduler) Resume(now simclock.Time) {
 	s.maybeStartRound(now)
 }
 
-// launchFunc launches one func on one device's stream, wiring batch
-// completion accounting.
-func (s *Scheduler) launchFunc(st *gpusim.Stream, f Func, coll *gpusim.Collective) {
-	b := f.batch
+// launchKernel launches one kernel of batch b on one device's stream,
+// wiring batch completion accounting.
+func (s *Scheduler) launchKernel(st *gpusim.Stream, k *parallel.KernelDesc, b *Batch, coll *gpusim.Collective) {
 	if b.FirstLaunchAt == 0 {
 		b.FirstLaunchAt = s.node.Engine().Now()
 	}
@@ -596,11 +612,11 @@ func (s *Scheduler) launchFunc(st *gpusim.Stream, f Func, coll *gpusim.Collectiv
 		b.kernelDoneFn = func(now simclock.Time) { b.kernelDone(now) }
 	}
 	st.Launch(gpusim.KernelSpec{
-		Name:          f.Desc.Name,
-		Class:         f.Desc.Class,
-		Duration:      f.Desc.Duration,
-		ComputeDemand: f.Desc.ComputeDemand,
-		MemBWDemand:   f.Desc.MemBWDemand,
+		Name:          k.Name,
+		Class:         k.Class,
+		Duration:      k.Duration,
+		ComputeDemand: k.ComputeDemand,
+		MemBWDemand:   k.MemBWDemand,
 		Coll:          coll,
 		Batch:         b.ID,
 		Req:           b.Req,

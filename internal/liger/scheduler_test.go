@@ -225,7 +225,7 @@ func TestRuntimeDecompositionSplitsLengthyKernel(t *testing.T) {
 	if donor.Exhausted() {
 		t.Fatal("donor exhausted; remainder lost")
 	}
-	rest := donor.head().Desc
+	rest := donor.head()
 	if rest.Duration != 300*time.Microsecond {
 		t.Fatalf("remainder duration %v, want 300µs", rest.Duration)
 	}

@@ -216,3 +216,61 @@ func TestDifferentialIdleJumpThenNearSchedule(t *testing.T) {
 		t.Fatal("workload did not exercise the rebase path")
 	}
 }
+
+// TestDifferentialDecodeInsertPattern replays the insert pattern of a
+// decode workload: idle gaps widen the ring until one bucket spans the
+// whole near-term horizon, then a dense burst keeps inserting near-term
+// events into the middle of that crowded current bucket, ahead of
+// entries already queued behind them, until the ring narrows. Both
+// engines must agree throughout.
+func TestDifferentialDecodeInsertPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := newDiffPair(t)
+	// Idle gaps: chunks of four events 1 ms apart, each chunk beyond the
+	// window, so every reload follows a window that turned over mostly
+	// empty buckets and widens them.
+	for chunk := 0; chunk < 10; chunk++ {
+		start := p.cal.Now() + 100*time.Millisecond
+		for j := 0; j < 4; j++ {
+			p.scheduleAt(start + Time(j)*time.Millisecond)
+		}
+		for j := 0; j < 4; j++ {
+			p.cal.Step()
+			p.ref.Step()
+			p.check()
+		}
+	}
+	wide := p.cal.shift
+	if wide <= initShift {
+		t.Fatalf("idle gaps left the bucket shift at %d, want wider than %d", wide, initShift)
+	}
+	// The burst: a standing population spread over the next 200 µs, then
+	// every step re-arms two events a few microseconds out.
+	for i := 0; i < 150; i++ {
+		p.scheduleAt(p.cal.Now() + Time(rng.Intn(200))*time.Microsecond)
+	}
+	p.check()
+	mid := p.cal.Stats().MidInserts
+	for op := 0; op < 3000; op++ {
+		cs, rs := p.cal.Step(), p.ref.Step()
+		if cs != rs {
+			t.Fatalf("Step diverged: calendar %v, refheap %v", cs, rs)
+		}
+		for j := 0; j < 2; j++ {
+			p.scheduleAt(p.cal.Now() + Time(rng.Intn(20000))*time.Nanosecond)
+		}
+		if op%7 == 0 && len(p.handles) > 0 {
+			p.cancel(rng.Intn(len(p.handles)))
+		}
+		p.check()
+	}
+	if p.cal.Stats().MidInserts == mid {
+		t.Fatal("the burst never inserted into the middle of a bucket")
+	}
+	if p.cal.shift >= wide {
+		t.Fatalf("crowded mid-bucket inserts left the bucket shift at %d, want narrower than %d", p.cal.shift, wide)
+	}
+	p.cal.Run()
+	p.ref.Run()
+	p.check()
+}

@@ -91,3 +91,41 @@ func TestCancelCompactionPreservesOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleHandleAfterSlabGrowth pins the slab's generation check: a
+// Handle names a slot and the slot's generation. After its event fired,
+// the slot is reused by a later schedule and the slab grows far past
+// it; the stale Handle must still be a no-op, and so must a Handle to
+// the reused slot's cancelled event once the slot is reused again.
+func TestStaleHandleAfterSlabGrowth(t *testing.T) {
+	e := New()
+	stale := e.At(time.Microsecond, func(Time) {})
+	if !e.Step() {
+		t.Fatal("event did not fire")
+	}
+	reused := e.At(time.Millisecond, func(Time) { t.Error("cancelled event fired") })
+	if reused.idx != stale.idx {
+		t.Fatalf("schedule took slot %d, want the freed slot %d", reused.idx, stale.idx)
+	}
+	fired := 0
+	for i := 0; i < 1000; i++ {
+		e.At(time.Millisecond+Time(i), func(Time) { fired++ })
+	}
+	if len(e.slots) < 1000 {
+		t.Fatalf("slab holds %d slots, want it grown past 1000", len(e.slots))
+	}
+	stale.Cancel() // must not touch the reused slot's event
+	reused.Cancel()
+	if p := e.Pending(); p != 1000 {
+		t.Fatalf("Pending = %d, want 1000", p)
+	}
+	e.Run()
+	// Every slot is free again; the next event reuses one of them.
+	e.At(e.Now()+time.Millisecond, func(Time) { fired++ })
+	stale.Cancel()
+	reused.Cancel()
+	e.Run()
+	if fired != 1001 {
+		t.Fatalf("fired %d events, want 1001: a stale Handle cancelled a live one", fired)
+	}
+}

@@ -29,12 +29,15 @@
 // differential test in this package drives both engines side by side
 // through randomized workloads and asserts identical behaviour.
 //
-// Hot-path notes: fired and cancelled entries are recycled through a
-// per-engine free list, so steady-state stepping allocates nothing;
-// cancellation is O(1) (a tombstone flag), and the queue is compacted
-// when tombstones outnumber live events. Bucket width self-tunes: the
-// ring widens when events are too sparse for the window and narrows when
-// single buckets grow pathological.
+// Hot-path notes: callbacks live by value in a per-engine slab. The
+// buckets and the far heap hold 16-byte entries (the time and a key
+// packing seq with the slab index) and the free list holds slab
+// indices, so moving an entry costs no GC write barrier and steady-state
+// stepping allocates nothing. Cancellation is O(1) (a tombstone flag),
+// and the queue is compacted when tombstones outnumber live events.
+// Bucket width self-tunes: the ring widens when events are too sparse
+// for the window and narrows when inserts keep landing in the middle of
+// a crowded bucket.
 package simclock
 
 import (
@@ -54,39 +57,61 @@ type Time = time.Duration
 // Event is a callback scheduled to fire at a virtual instant.
 type Event func(now Time)
 
-// item is a queue entry. seq breaks ties between events at the same
-// instant. gen is bumped every time the item returns to the free list so
-// stale Handles to a recycled item become no-ops.
-type item struct {
+// entry is a queued event's place in the firing order. key packs the
+// event's sequence number, which breaks ties between events at the same
+// instant, above the slab index of its callback: sequence numbers are
+// unique, so ordering by (at, key) is exactly the (at, seq) order. The
+// buckets and the far heap hold entries by value; an entry carries no
+// pointer, so shifting, sorting and sifting entries costs no GC write
+// barrier, and comparing two never touches the slab.
+type entry struct {
 	at  Time
-	seq uint64
+	key uint64
+}
+
+// idxBits is the width of the slab index in an entry's key; the
+// sequence number takes the remaining 40 bits.
+const idxBits = 24
+
+// idx returns the slab index of the entry's callback.
+func (en *entry) idx() int32 { return int32(en.key & (1<<idxBits - 1)) }
+
+// slot is one cell of the engine's slab: the callback of a scheduled
+// event. gen is bumped every time the slot returns to the free list, so
+// a stale Handle to a reused slot is a no-op (until gen wraps, 2^32
+// reuses of that one slot later).
+type slot struct {
 	fn  Event
-	gen uint64
+	gen uint32
 	// cancelled events stay queued but are skipped when reached; this is
 	// cheaper than removal and keeps Cancel O(1). The engine compacts
 	// the queue when they pile up.
 	cancelled bool
 }
 
-// Handle identifies a scheduled event so it can be cancelled.
+// Handle identifies a scheduled event so it can be cancelled: the slab
+// slot that holds it and the slot's generation when it was scheduled.
 type Handle struct {
 	eng *Engine
-	it  *item
-	gen uint64
+	idx int32
+	gen uint32
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (h Handle) Cancel() {
-	if h.it == nil || h.it.gen != h.gen || h.it.cancelled {
+	e := h.eng
+	if e == nil {
 		return
 	}
-	h.it.cancelled = true
-	h.it.fn = nil // release the closure immediately
-	if h.eng != nil {
-		h.eng.cancelled++
-		h.eng.maybeCompact()
+	s := &e.slots[h.idx]
+	if s.gen != h.gen || s.cancelled {
+		return
 	}
+	s.cancelled = true
+	s.fn = nil // release the closure immediately
+	e.cancelled++
+	e.maybeCompact()
 }
 
 // Calendar geometry. The ring has nb buckets; bucket width is 1<<shift
@@ -105,10 +130,11 @@ const (
 	// general sort.
 	sortInline = 24
 
-	// fatBucket triggers a width halving when a single bucket's live
-	// population exceeds it (sorted inserts into the current bucket would
-	// otherwise degenerate into large memmoves).
-	fatBucket = 1024
+	// crowdedBucket triggers a width quartering when an insert lands in
+	// the middle of a sorted bucket holding more entries than this: each
+	// such insert shifts the entries behind it, so a crowded current
+	// bucket turns scheduling from O(1) into a memmove per event.
+	crowdedBucket = 64
 
 	// sparseWindow widens the ring at reload when the previous window
 	// turned over with this many advances per pop or more.
@@ -123,7 +149,7 @@ const compactMinLen = 64
 // not yet consumed; sorted marks whether that slice is ordered by
 // (at, seq). head > 0 implies sorted.
 type bucket struct {
-	items  []*item
+	items  []entry
 	head   int
 	sorted bool
 }
@@ -148,6 +174,9 @@ type Stats struct {
 	// FarPushes counts events that overflowed past the window into the
 	// far band.
 	FarPushes uint64
+	// MidInserts counts inserts that landed before the tail of a sorted
+	// bucket and so shifted the entries behind them.
+	MidInserts uint64
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -169,23 +198,27 @@ type Engine struct {
 	// window slide straight to the next populated bucket instead of
 	// scanning empties one by one.
 	occ [nb / 64]uint64
+	// crowded is set by an insert into the middle of a crowded bucket;
+	// schedule narrows the ring when it sees it.
+	crowded bool
 
 	// Far band: min-heap on (at, seq) for events at or beyond the window
 	// end.
-	far []*item
+	far []entry
 
 	// cancelled counts tombstones still stored across both bands.
 	cancelled int
-	// free recycles fired/cancelled items; At pops from it before
-	// allocating.
-	free []*item
+	// slots is the slab of scheduled callbacks, indexed by entry.idx;
+	// free lists the slots no queued entry refers to. At reuses a free
+	// slot before growing the slab.
+	slots []slot
+	free  []int32
 	// scratch is reused by rebase/resize redistribution passes.
-	scratch []*item
+	scratch []entry
 
 	// Window-turnover counters driving width self-tuning.
-	advances  uint64
-	pops      uint64
-	maxBucket int
+	advances uint64
+	pops     uint64
 
 	stats Stats
 }
@@ -225,40 +258,50 @@ func (e *Engine) width() Time { return Time(1) << e.shift }
 // winEnd returns the first instant beyond the near window.
 func (e *Engine) winEnd() Time { return e.winStart + Time(1)<<(e.shift+nbBits) }
 
-// newItem takes an item from the free list (or allocates one) and arms it.
-func (e *Engine) newItem(at Time, fn Event) *item {
-	var it *item
+// newEntry stores fn in a free slab slot (or grows the slab) and returns
+// the entry that queues it at at, and the slot's generation.
+func (e *Engine) newEntry(at Time, fn Event) (en entry, gen uint32) {
+	var idx int32
 	if n := len(e.free); n > 0 {
-		it = e.free[n-1]
-		e.free[n-1] = nil
+		idx = e.free[n-1]
 		e.free = e.free[:n-1]
+		s := &e.slots[idx]
+		s.fn = fn
+		s.cancelled = false
+		gen = s.gen
 	} else {
-		it = &item{}
+		if len(e.slots) == 1<<idxBits {
+			panic("simclock: more than 2^24 events pending")
+		}
+		idx = int32(len(e.slots))
+		e.slots = append(e.slots, slot{fn: fn})
 	}
-	it.at = at
-	it.seq = e.seq
-	it.fn = fn
-	it.cancelled = false
+	if e.seq == 1<<(64-idxBits) {
+		panic("simclock: more than 2^40 events scheduled")
+	}
+	en = entry{at: at, key: e.seq<<idxBits | uint64(idx)}
 	e.seq++
-	return it
+	return en, gen
 }
 
-// recycle returns an item no longer queued to the free list,
+// recycle returns a slot no entry refers to any more to the free list,
 // invalidating outstanding Handles to it.
-func (e *Engine) recycle(it *item) {
-	it.gen++
-	it.fn = nil
-	e.free = append(e.free, it)
+func (e *Engine) recycle(idx int32) {
+	s := &e.slots[idx]
+	s.gen++
+	s.fn = nil
+	e.free = append(e.free, idx)
 }
 
-// itemAfter is the total order on queue entries: (at, seq) ascending.
-// seq is unique, so this is a strict total order — the firing sequence
-// is fully determined no matter which data structure holds the entries.
-func itemAfter(a, b *item) bool {
+// after is the total order on queue entries: (at, seq) ascending, by way
+// of the packed key. seq is unique, so this is a strict total order — the
+// firing sequence is fully determined no matter which data structure
+// holds the entries.
+func after(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at > b.at
 	}
-	return a.seq > b.seq
+	return a.key > b.key
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in
@@ -268,12 +311,12 @@ func (e *Engine) At(at Time, fn Event) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, e.now))
 	}
-	it := e.newItem(at, fn)
-	e.schedule(it)
+	en, gen := e.newEntry(at, fn)
+	e.schedule(en)
 	if live := e.nearCount + len(e.far) - e.cancelled; live > e.stats.MaxPending {
 		e.stats.MaxPending = live
 	}
-	return Handle{eng: e, it: it, gen: it.gen}
+	return Handle{eng: e, idx: en.idx(), gen: gen}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -281,68 +324,65 @@ func (e *Engine) After(d time.Duration, fn Event) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// schedule places an armed item into the correct band. This is the only
+// schedule places a new entry into the correct band. This is the only
 // place a width narrowing can trigger: insertNear is also called from
 // redistribution loops (pullFar, rebase, resize), where a reentrant
 // resize would corrupt the iteration in progress.
-func (e *Engine) schedule(it *item) {
-	if it.at < e.winStart {
+func (e *Engine) schedule(en entry) {
+	if en.at < e.winStart {
 		// The window was slid or reloaded past this instant while the
 		// clock is still behind it (an idle peek jumped ahead, then a
 		// near-term event arrived). Rebase the window down to cover it.
-		e.rebase(it.at)
+		e.rebase(en.at)
 	}
-	idx := uint64(it.at-e.winStart) >> e.shift
+	idx := uint64(en.at-e.winStart) >> e.shift
 	if idx >= nb {
-		e.farPush(it)
+		e.farPush(en)
 		e.stats.FarPushes++
 		return
 	}
-	e.insertNear(it, int(idx))
-	if e.maxBucket > fatBucket && e.shift > minShift {
-		e.resize(e.shift - 2)
+	e.insertNear(en, int(idx))
+	if e.crowded {
+		e.crowded = false
+		if e.shift > minShift {
+			e.resize(e.shift - 2)
+		}
 	}
 }
 
-// insertNear stores an item whose window offset is idx buckets ahead of
+// insertNear stores an entry whose window offset is idx buckets ahead of
 // cur. Future buckets take an O(1) append; the current, already-sorted
 // bucket takes an ordered insert so consumption stays correct.
-func (e *Engine) insertNear(it *item, idx int) {
-	b := &e.buckets[(e.cur+idx)&nbMask]
+func (e *Engine) insertNear(en entry, idx int) {
+	i := (e.cur + idx) & nbMask
+	b := &e.buckets[i]
 	e.nearCount++
 	if len(b.items) == b.head {
-		// Empty (or fully consumed) bucket: mark occupancy, append.
-		e.setOcc((e.cur + idx) & nbMask)
-		if b.head > 0 {
-			// Fully consumed sorted bucket: appending one item keeps
-			// items[head:] trivially sorted.
-			b.items = append(b.items, it)
-			return
-		}
-		b.items = append(b.items, it)
-		b.sorted = true // single entry
+		// Empty (or fully consumed) bucket: mark occupancy, append. One
+		// entry is sorted, and a fully consumed bucket (head > 0) already
+		// is.
+		e.setOcc(i)
+		b.items = append(b.items, en)
+		b.sorted = true
 		return
 	}
-	if !b.sorted {
-		b.items = append(b.items, it)
+	// Unsorted buckets take any entry at the tail, and so does a sorted
+	// one when no stored entry orders after the new one (the common case:
+	// the new entry has the latest seq).
+	if !b.sorted || !after(&b.items[len(b.items)-1], &en) {
+		b.items = append(b.items, en)
 		return
 	}
-	// Sorted bucket (the one being consumed, typically). Fast path: the
-	// new entry is the latest seq, so it lands at the end unless an
-	// existing entry has a later timestamp.
-	if last := b.items[len(b.items)-1]; !itemAfter(last, it) {
-		b.items = append(b.items, it)
-	} else {
-		lo := b.head
-		j := lo + sort.Search(len(b.items)-lo, func(k int) bool {
-			return itemAfter(b.items[lo+k], it)
-		})
-		b.items = append(b.items, nil)
-		copy(b.items[j+1:], b.items[j:])
-		b.items[j] = it
-	}
-	if n := len(b.items) - b.head; n > e.maxBucket {
-		e.maxBucket = n
+	lo := b.head
+	j := lo + sort.Search(len(b.items)-lo, func(k int) bool {
+		return after(&b.items[lo+k], &en)
+	})
+	b.items = append(b.items, entry{})
+	copy(b.items[j+1:], b.items[j:])
+	b.items[j] = en
+	e.stats.MidInserts++
+	if len(b.items)-b.head > crowdedBucket {
+		e.crowded = true
 	}
 }
 
@@ -368,30 +408,30 @@ func (e *Engine) nextOcc() int {
 	return 0
 }
 
-// farPush adds an item to the far-band min-heap.
-func (e *Engine) farPush(it *item) {
-	e.far = append(e.far, it)
-	i := len(e.far) - 1
+// farPush adds an entry to the far-band min-heap.
+func (e *Engine) farPush(en entry) {
+	e.far = append(e.far, en)
+	h := e.far
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !itemAfter(e.far[p], e.far[i]) {
+		if !after(&h[p], &h[i]) {
 			break
 		}
-		e.far[p], e.far[i] = e.far[i], e.far[p]
+		h[p], h[i] = h[i], h[p]
 		i = p
 	}
 }
 
 // farPop removes and returns the far-band minimum.
-func (e *Engine) farPop() *item {
+func (e *Engine) farPop() entry {
 	h := e.far
-	it := h[0]
+	en := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
 	e.far = h[:n]
 	e.farSiftDown(0)
-	return it
+	return en
 }
 
 // farSiftDown restores the heap property downward from i.
@@ -404,10 +444,10 @@ func (e *Engine) farSiftDown(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && itemAfter(h[l], h[r]) {
+		if r := l + 1; r < n && after(&h[l], &h[r]) {
 			m = r
 		}
-		if !itemAfter(h[i], h[m]) {
+		if !after(&h[i], &h[m]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
@@ -419,8 +459,8 @@ func (e *Engine) farSiftDown(i int) {
 func (e *Engine) pullFar() {
 	end := e.winEnd()
 	for len(e.far) > 0 && e.far[0].at < end {
-		it := e.farPop()
-		e.insertNear(it, int(uint64(it.at-e.winStart)>>e.shift))
+		en := e.farPop()
+		e.insertNear(en, int(uint64(en.at-e.winStart)>>e.shift))
 	}
 }
 
@@ -431,17 +471,17 @@ func (e *Engine) sortBucket(b *bucket) {
 	s := b.items
 	if len(s) <= sortInline {
 		for i := 1; i < len(s); i++ {
-			it := s[i]
+			en := s[i]
 			j := i - 1
-			for j >= 0 && itemAfter(s[j], it) {
+			for j >= 0 && after(&s[j], &en) {
 				s[j+1] = s[j]
 				j--
 			}
-			s[j+1] = it
+			s[j+1] = en
 		}
 	} else {
-		slices.SortFunc(s, func(a, b *item) int {
-			if itemAfter(b, a) {
+		slices.SortFunc(s, func(a, b entry) int {
+			if after(&b, &a) {
 				return -1
 			}
 			return 1
@@ -452,13 +492,13 @@ func (e *Engine) sortBucket(b *bucket) {
 
 // settle positions the queue so the next live event sits at
 // buckets[cur].items[head], sliding the window and migrating the far
-// band as needed, and returns that event (nil when none remain).
+// band as needed, and returns that event (ok false when none remain).
 // Cancelled entries encountered on the way are reclaimed.
-func (e *Engine) settle() *item {
+func (e *Engine) settle() (en entry, ok bool) {
 	for {
 		if e.nearCount == 0 {
 			if len(e.far) == 0 {
-				return nil
+				return entry{}, false
 			}
 			e.reload()
 		}
@@ -473,15 +513,14 @@ func (e *Engine) settle() *item {
 			if !b.sorted {
 				e.sortBucket(b)
 			}
-			it := b.items[b.head]
-			if !it.cancelled {
-				return it
+			en := b.items[b.head]
+			if !e.slots[en.idx()].cancelled {
+				return en, true
 			}
-			b.items[b.head] = nil
 			b.head++
 			e.nearCount--
 			e.cancelled--
-			e.recycle(it)
+			e.recycle(en.idx())
 		}
 		// Bucket exhausted (everything in it was cancelled): reset it and
 		// advance one slot.
@@ -502,24 +541,28 @@ func (e *Engine) resetBucket(i int) {
 	e.clearOcc(i)
 }
 
-// take removes the settled head event from the current bucket.
-func (e *Engine) take() *item {
+// fire removes the settled head entry en from the current bucket,
+// advances the clock to it and runs its callback. The slot is recycled
+// before the callback runs, so the callback may schedule into it.
+func (e *Engine) fire(en entry) {
 	b := &e.buckets[e.cur]
-	it := b.items[b.head]
-	b.items[b.head] = nil
 	b.head++
 	e.nearCount--
 	e.pops++
 	if b.head == len(b.items) {
 		e.resetBucket(e.cur)
 	}
-	return it
+	e.now = en.at
+	e.fired++
+	fn := e.slots[en.idx()].fn
+	e.recycle(en.idx())
+	fn(e.now)
 }
 
 // reload re-seeds an empty window at the next far-band event, applying
 // width feedback from the window that just turned over: widen when the
-// window was mostly empty advances, narrow when a bucket went
-// pathological (narrowing is also triggered inline by insertNear).
+// window was mostly empty advances (narrowing is triggered inline by
+// schedule).
 func (e *Engine) reload() {
 	if e.pops > 0 && e.advances > sparseWindow*e.pops && e.shift < maxShift {
 		e.shift += 2
@@ -528,7 +571,7 @@ func (e *Engine) reload() {
 		}
 		e.stats.Resizes++
 	}
-	e.advances, e.pops, e.maxBucket = 0, 0, 0
+	e.advances, e.pops = 0, 0
 	e.cur = 0
 	e.winStart = e.far[0].at
 	e.stats.Reloads++
@@ -544,17 +587,7 @@ func (e *Engine) rebase(at Time) {
 	e.collectNear()
 	e.cur = 0
 	e.winStart = at
-	tmp := e.scratch
-	for i, it := range tmp {
-		tmp[i] = nil
-		idx := uint64(it.at-at) >> e.shift
-		if idx >= nb {
-			e.farPush(it)
-		} else {
-			e.insertNear(it, int(idx))
-		}
-	}
-	e.scratch = tmp[:0]
+	e.redistribute()
 }
 
 // resize changes the bucket width to 1<<newShift, redistributing the
@@ -573,35 +606,37 @@ func (e *Engine) resize(newShift uint) {
 	e.collectNear()
 	e.shift = newShift
 	e.cur = 0
-	e.maxBucket = 0
-	tmp := e.scratch
-	for i, it := range tmp {
-		tmp[i] = nil
-		idx := uint64(it.at-e.winStart) >> e.shift
-		if idx >= nb {
-			e.farPush(it)
-		} else {
-			e.insertNear(it, int(idx))
-		}
-	}
-	e.scratch = tmp[:0]
+	e.redistribute()
+	e.crowded = false
 }
 
 // collectNear drains every stored near entry into e.scratch and resets
-// the ring. nearCount drops to zero; callers reinsert.
+// the ring. nearCount drops to zero; callers redistribute.
 func (e *Engine) collectNear() {
 	tmp := e.scratch[:0]
 	for i := range e.buckets {
 		b := &e.buckets[i]
-		for _, it := range b.items[b.head:] {
-			tmp = append(tmp, it)
-		}
+		tmp = append(tmp, b.items[b.head:]...)
 		if len(b.items) > 0 || b.head > 0 {
 			e.resetBucket(i)
 		}
 	}
 	e.scratch = tmp
 	e.nearCount = 0
+}
+
+// redistribute reinserts the entries collectNear gathered under the
+// current window start and width.
+func (e *Engine) redistribute() {
+	for _, en := range e.scratch {
+		idx := uint64(en.at-e.winStart) >> e.shift
+		if idx >= nb {
+			e.farPush(en)
+		} else {
+			e.insertNear(en, int(idx))
+		}
+	}
+	e.scratch = e.scratch[:0]
 }
 
 // maybeCompact rebuilds both bands without cancelled placeholders once
@@ -619,16 +654,13 @@ func (e *Engine) maybeCompact() {
 			continue
 		}
 		live := b.items[:0]
-		for _, it := range b.items[b.head:] {
-			if it.cancelled {
+		for _, en := range b.items[b.head:] {
+			if e.slots[en.idx()].cancelled {
 				e.nearCount--
-				e.recycle(it)
+				e.recycle(en.idx())
 			} else {
-				live = append(live, it)
+				live = append(live, en)
 			}
-		}
-		for j := len(live); j < len(b.items); j++ {
-			b.items[j] = nil
 		}
 		b.items = live
 		b.head = 0
@@ -638,15 +670,12 @@ func (e *Engine) maybeCompact() {
 		}
 	}
 	liveFar := e.far[:0]
-	for _, it := range e.far {
-		if it.cancelled {
-			e.recycle(it)
+	for _, en := range e.far {
+		if e.slots[en.idx()].cancelled {
+			e.recycle(en.idx())
 		} else {
-			liveFar = append(liveFar, it)
+			liveFar = append(liveFar, en)
 		}
-	}
-	for j := len(liveFar); j < len(e.far); j++ {
-		e.far[j] = nil
 	}
 	e.far = liveFar
 	for i := len(e.far)/2 - 1; i >= 0; i-- {
@@ -658,17 +687,11 @@ func (e *Engine) maybeCompact() {
 // Step fires the earliest pending event. It reports whether an event
 // fired (false when the queue is empty).
 func (e *Engine) Step() bool {
-	it := e.settle()
-	if it == nil {
-		return false
+	en, ok := e.settle()
+	if ok {
+		e.fire(en)
 	}
-	e.take()
-	e.now = it.at
-	e.fired++
-	fn := it.fn
-	e.recycle(it)
-	fn(e.now)
-	return true
+	return ok
 }
 
 // Run fires events until the queue is empty.
@@ -681,16 +704,11 @@ func (e *Engine) Run() {
 // clock to the deadline. Events scheduled at exactly the deadline fire.
 func (e *Engine) RunUntil(deadline Time) {
 	for {
-		it := e.settle()
-		if it == nil || it.at > deadline {
+		en, ok := e.settle()
+		if !ok || en.at > deadline {
 			break
 		}
-		e.take()
-		e.now = it.at
-		e.fired++
-		fn := it.fn
-		e.recycle(it)
-		fn(e.now)
+		e.fire(en)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -708,27 +726,16 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 // is safe to fire; the horizon itself is not.
 func (e *Engine) RunBefore(bound Time) {
 	for {
-		it := e.settle()
-		if it == nil || it.at >= bound {
+		en, ok := e.settle()
+		if !ok || en.at >= bound {
 			return
 		}
-		e.take()
-		e.now = it.at
-		e.fired++
-		fn := it.fn
-		e.recycle(it)
-		fn(e.now)
+		e.fire(en)
 	}
-}
-
-// peek returns the timestamp of the next live event.
-func (e *Engine) peek() (Time, bool) {
-	it := e.settle()
-	if it == nil {
-		return 0, false
-	}
-	return it.at, true
 }
 
 // NextEventAt reports the timestamp of the next pending event, if any.
-func (e *Engine) NextEventAt() (Time, bool) { return e.peek() }
+func (e *Engine) NextEventAt() (Time, bool) {
+	en, ok := e.settle()
+	return en.at, ok
+}
